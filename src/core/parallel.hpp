@@ -1,9 +1,9 @@
-// Minimal thread pool and parallel_for used by the benchmark/sweep harness.
-//
-// The simulator itself is deliberately single-threaded and deterministic;
-// parallelism is applied only *across* independent simulation instances
-// (parameter sweeps), where results are position-addressed so no ordering
-// nondeterminism can leak into output.
+// Minimal parallel_for used by the benchmark/sweep harness to run
+// independent simulation instances (parameter sweeps) concurrently;
+// results are position-addressed so no ordering nondeterminism can leak
+// into output. Parallelism *within* one run is the engine's row-band
+// pipeline on a WorkerPool (core/worker_pool.hpp, DESIGN.md §9), which is
+// deterministic at any thread count. default_thread_count() sizes both.
 #pragma once
 
 #include <cstddef>

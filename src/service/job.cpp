@@ -1,5 +1,6 @@
 #include "service/job.hpp"
 
+#include <limits>
 #include <memory>
 
 #include "topo/registry.hpp"
@@ -15,6 +16,12 @@ bool get_int(const json::Value& obj, const char* key, std::int64_t* out) {
   if (!v->is_number()) return false;
   *out = static_cast<std::int64_t>(v->number);
   return true;
+}
+
+/// True when `v` is representable as an int32 (the engine's size type).
+bool fits_int32(std::int64_t v) {
+  return v >= std::numeric_limits<std::int32_t>::min() &&
+         v <= std::numeric_limits<std::int32_t>::max();
 }
 
 }  // namespace
@@ -36,6 +43,8 @@ bool parse_job_spec(const json::Value& job, JobSpec* out, std::string* error) {
   if (!get_int(job, "width", &width) || !get_int(job, "height", &height) ||
       width < 1 || height < 1)
     return fail("missing or non-positive \"width\"/\"height\"");
+  if (!fits_int32(width) || !fits_int32(height))
+    return fail("\"width\"/\"height\" out of int32 range");
   spec.run.width = static_cast<std::int32_t>(width);
   spec.run.height = static_cast<std::int32_t>(height);
 
@@ -49,6 +58,7 @@ bool parse_job_spec(const json::Value& job, JobSpec* out, std::string* error) {
   std::int64_t v = 0;
   if (get_int(job, "k", &v)) {
     if (v < 1) return fail("\"k\" must be >= 1");
+    if (!fits_int32(v)) return fail("\"k\" out of int32 range");
     spec.run.queue_capacity = static_cast<int>(v);
   }
   if (get_int(job, "max_steps", &v)) {
@@ -61,10 +71,12 @@ bool parse_job_spec(const json::Value& job, JobSpec* out, std::string* error) {
   }
   if (get_int(job, "shards", &v)) {
     if (v < 1) return fail("\"shards\" must be >= 1");
+    if (!fits_int32(v)) return fail("\"shards\" out of int32 range");
     spec.run.engine_shards = static_cast<int>(v);
   }
   if (get_int(job, "threads", &v)) {
     if (v < 1) return fail("\"threads\" must be >= 1");
+    if (!fits_int32(v)) return fail("\"threads\" out of int32 range");
     spec.run.engine_threads = static_cast<int>(v);
   }
   if (get_int(job, "sample_every", &v)) {

@@ -99,7 +99,8 @@ void Engine::init_engine(const Config& config) {
   shard_algorithms_.assign(static_cast<std::size_t>(num_shards_), algorithm_);
 }
 
-void Engine::run_shards(const std::function<void(std::size_t)>& fn) {
+template <typename Fn>
+void Engine::run_shards(const Fn& fn) {
   if (pool_) {
     pool_->run(static_cast<std::size_t>(num_shards_), fn);
   } else {
@@ -109,6 +110,7 @@ void Engine::run_shards(const std::function<void(std::size_t)>& fn) {
 }
 
 std::span<const NodeId> Engine::active_nodes() const {
+  if (num_shards_ == 1) return shards_.front().active;
   if (!active_cache_valid_) {
     active_.clear();
     for (const Shard& sh : shards_)
@@ -190,34 +192,46 @@ void Engine::remove_from_node(PacketId p) {
   pk.slot = -1;
 }
 
-void Engine::merge_active() {
-  if (active_sorted_ == active_.size()) return;
-  const auto mid = active_.begin() + static_cast<std::ptrdiff_t>(active_sorted_);
-  std::sort(mid, active_.end());
-  std::inplace_merge(active_.begin(), mid, active_.end());
-  active_sorted_ = active_.size();
+void Engine::stage_injections() {
+  // Re-offer packets that were due earlier but found a full queue, then
+  // newly due packets; inject_band sorts the union by id.
+  for (Shard& sh : shards_) {
+    sh.due.clear();
+    sh.due.swap(sh.waiting);
+  }
+  while (injection_cursor_ < injections_.size() &&
+         injections_[injection_cursor_].first <= step_) {
+    const PacketId p = injections_[injection_cursor_].second;
+    shards_[static_cast<std::size_t>(shard_of_node(packets_[p].source))]
+        .due.push_back(p);
+    ++injection_cursor_;
+  }
 }
 
-void Engine::inject_packet_list(const std::vector<PacketId>& due,
-                                std::vector<PacketId>& waiting_out,
-                                std::vector<NodeId>& active_out,
-                                std::vector<PacketId>* injected_deliveries_out,
-                                std::int64_t& injected, std::int64_t& delivered,
-                                std::int64_t& fault_deferred, int& peak) {
-  for (PacketId p : due) {
+void Engine::inject_band(Shard& sh, bool observed) {
+  sh.injected = 0;
+  sh.moved = 0;
+  sh.delivered = 0;
+  sh.arrivals = 0;
+  sh.fault_blocked = 0;
+  sh.fault_deferred = 0;
+  sh.max_occupancy = 0;
+  sh.injected_deliveries.clear();
+  std::sort(sh.due.begin(), sh.due.end());
+  for (PacketId p : sh.due) {
     Packet& pk = packets_[p];
     // A down source defers injection entirely — even source == dest
     // deliveries, which model an ejection at the (dead) node.
     if (!node_available(pk.source)) {
-      waiting_out.push_back(p);
-      ++fault_deferred;
+      sh.waiting.push_back(p);
+      ++sh.fault_deferred;
       continue;
     }
     if (pk.source == pk.dest) {
       pk.delivered_at = step_;
-      ++delivered;
-      ++injected;
-      if (injected_deliveries_out) injected_deliveries_out->push_back(p);
+      ++sh.delivered;
+      ++sh.injected;
+      if (observed) sh.injected_deliveries.push_back(p);
       continue;
     }
     const QueueTag tag = layout_ == QueueLayout::Central
@@ -227,34 +241,47 @@ void Engine::inject_packet_list(const std::vector<PacketId>& due,
                          ? occupancy(pk.source)
                          : occupancy(pk.source, tag);
     if (used >= queue_capacity_) {
-      waiting_out.push_back(p);  // §5: wait outside the network
+      sh.waiting.push_back(p);  // §5: wait outside the network
       continue;
     }
-    place_packet(p, pk.source, tag, active_out);
+    place_packet(p, pk.source, tag, sh.active);
     pk.arrival_inlink = kNoInlink;
-    ++injected;
-    record_occupancy(pk.source, peak);
+    ++sh.injected;
+    record_occupancy(pk.source, sh.max_occupancy);
   }
+  const auto mid =
+      sh.active.begin() + static_cast<std::ptrdiff_t>(sh.active_sorted);
+  std::sort(mid, sh.active.end());
+  std::inplace_merge(sh.active.begin(), mid, sh.active.end());
+  sh.active_sorted = sh.active.size();
 }
 
-void Engine::inject_due_packets() {
-  // Re-offer packets that were due earlier but found a full queue, then
-  // newly due packets, all in deterministic (id) order.
-  due_.clear();
-  due_.swap(waiting_injections_);
-  while (injection_cursor_ < injections_.size() &&
-         injections_[injection_cursor_].first <= step_) {
-    due_.push_back(injections_[injection_cursor_].second);
-    ++injection_cursor_;
-  }
-  if (due_.empty()) return;
-  std::sort(due_.begin(), due_.end());
+std::int64_t Engine::fold_shards(bool observed) {
+  std::int64_t moved = 0;
   std::int64_t delivered = 0;
-  inject_packet_list(due_, waiting_injections_, active_,
-                     observers_.empty() ? nullptr : &injected_deliveries_,
-                     injected_this_step_, delivered,
-                     fault_deferred_this_step_, max_occupancy_seen_);
+  std::int64_t arrivals = 0;
+  injected_this_step_ = 0;
+  for (const Shard& sh : shards_) {
+    moved += sh.moved;
+    delivered += sh.delivered;
+    arrivals += sh.arrivals;
+    injected_this_step_ += sh.injected;
+    fault_blocked_this_step_ += sh.fault_blocked;
+    fault_deferred_this_step_ += sh.fault_deferred;
+    max_occupancy_seen_ = std::max(max_occupancy_seen_, sh.max_occupancy);
+  }
   delivered_count_ += static_cast<std::size_t>(delivered);
+  total_moves_ += arrivals;
+  active_cache_valid_ = false;
+  injected_deliveries_.clear();
+  if (observed) {
+    for (const Shard& sh : shards_)
+      injected_deliveries_.insert(injected_deliveries_.end(),
+                                  sh.injected_deliveries.begin(),
+                                  sh.injected_deliveries.end());
+    std::sort(injected_deliveries_.begin(), injected_deliveries_.end());
+  }
+  return moved;
 }
 
 void Engine::filter_faulted_moves(std::vector<ScheduledMove>& moves,
@@ -290,18 +317,17 @@ void Engine::prepare() {
   prepared_ = true;
   std::stable_sort(injections_.begin(), injections_.end());
   step_ = 0;
-  injected_this_step_ = 0;
-  injected_deliveries_.clear();
-  inject_due_packets();
+  const bool observed = !observers_.empty();
+  stage_injections();
+  run_shards([&](std::size_t si) { inject_band(shards_[si], observed); });
+  fold_shards(observed);
   // §3: the initial state of nodes/packets may depend on the initial
-  // arrangement; the algorithm sets them here. Only instance 0 is init()ed
-  // even in sharded mode: the state it sets lives in the Sim and is shared
-  // by all planning instances.
+  // arrangement; the algorithm sets them here. Only instance 0 is init()ed:
+  // the state it sets lives in the Sim and is shared by all planning
+  // instances.
   algorithm_->init(*this);
   packet_scheduled_.assign(packets_.size(), 0);
-  merge_active();
-  if (num_shards_ > 1) distribute_to_shards();
-  if (!observers_.empty()) {
+  if (observed) {
     StepDigest digest;
     digest.step = 0;
     digest.injected_deliveries = injected_deliveries_;
@@ -352,267 +378,32 @@ void Engine::validate_out_plan(NodeId u, const OutPlan& plan) {
   }
 }
 
-bool Engine::step_once() {
-  MR_REQUIRE_MSG(prepared_, "step before prepare()");
-  if (all_delivered()) return false;
-  if (num_shards_ > 1) return step_parallel();
-  ++step_;
-
-  // Phase profiling: zero clock reads unless enabled.
-  using Clock = std::chrono::steady_clock;
-  Clock::time_point step_begin, phase_begin;
-  if (profiling_) step_begin = phase_begin = Clock::now();
-  const auto phase_end = [&](StepPhase p) {
-    if (!profiling_) return;
-    const Clock::time_point now = Clock::now();
-    phase_profile_.seconds[static_cast<int>(p)] +=
-        std::chrono::duration<double>(now - phase_begin).count();
-    phase_begin = now;
-  };
-
-  const bool observed = !observers_.empty();
-  injected_this_step_ = 0;
-  injected_deliveries_.clear();
-  fault_blocked_this_step_ = 0;
-  fault_deferred_this_step_ = 0;
-  apply_faults(step_);
-  exchanges_before_step_ = static_cast<std::int64_t>(exchange_count_);
-  inject_due_packets();
-  merge_active();
-  if (profiling_) phase_begin = Clock::now();  // injection is out-of-phase
-
-  // ----- (a) outqueue policies schedule packets -------------------------
-  moves_.clear();
-  for (NodeId u : active_) {
-    if (node_packets_.empty(u)) continue;
-    out_plan_.clear();
-    algorithm_->plan_out(*this, u, out_plan_);
-    validate_out_plan(u, out_plan_);
-    for (Dir d : kAllDirs) {
-      const PacketId p = out_plan_.scheduled(d);
-      if (p == kInvalidPacket) continue;
-      moves_.push_back(ScheduledMove{p, u, neighbor_of(u, d), d});
-    }
+void Engine::run_interceptor(std::span<const ScheduledMove> moves) {
+  in_interceptor_ = true;
+  interceptor_->after_schedule(*this, moves);
+  in_interceptor_ = false;
+  if (!enforce_minimal_) return;
+  // Destinations may have changed; every scheduled move must still be
+  // minimal, otherwise the exchange rules were applied incorrectly.
+  // (exchange_destinations refreshed the cached masks.)
+  for (const ScheduledMove& m : moves) {
+    MR_REQUIRE_MSG(mask_has(packets_[m.packet].profitable, m.dir),
+                   "exchange made scheduled move of packet "
+                       << m.packet << " non-minimal");
   }
-  // Clear the double-schedule flags set by validate_out_plan: exactly the
-  // scheduled packets, so this is O(moves) instead of O(all packets).
-  for (const ScheduledMove& m : moves_) packet_scheduled_[m.packet] = 0;
-  // Reroute-or-stall: moves over links a fault took down are dropped (the
-  // packet stays queued and is re-planned next step on the masked mask).
-  filter_faulted_moves(moves_, fault_blocked_this_step_);
-  phase_end(StepPhase::PlanOut);
-
-  // ----- (b) adversary exchanges ----------------------------------------
-  if (interceptor_ != nullptr) {
-    in_interceptor_ = true;
-    interceptor_->after_schedule(*this, moves_);
-    in_interceptor_ = false;
-    if (enforce_minimal_) {
-      // Destinations may have changed; every scheduled move must still be
-      // minimal, otherwise the exchange rules were applied incorrectly.
-      // (exchange_destinations refreshed the cached masks.)
-      for (const ScheduledMove& m : moves_) {
-        MR_REQUIRE_MSG(
-            mask_has(packets_[m.packet].profitable, m.dir),
-            "exchange made scheduled move of packet " << m.packet
-                                                      << " non-minimal");
-      }
-    }
-  }
-  phase_end(StepPhase::Interceptor);
-
-  // ----- (c) inqueue policies accept/reject ------------------------------
-  // Arrivals at the destination are delivered by the model itself (§2) and
-  // are not shown to the inqueue policy.
-  deliveries_.clear();
-  for (auto& bucket : dir_offers_) bucket.clear();
-  for (const ScheduledMove& m : moves_) {
-    const Packet& pk = packets_[m.packet];
-    if (pk.dest == m.to) {
-      deliveries_.push_back(&m);
-    } else {
-      dir_offers_[dir_index(m.dir)].push_back(
-          Offer{m.packet, m.from, m.to, m.dir, pk.profitable});
-    }
-  }
-  // moves_ is produced in ascending sender order, and for a fixed travel
-  // direction the neighbor map is monotone in the sender, so every bucket
-  // is already sorted by receiving node — except across torus wrap links.
-  if (wraps_) {
-    for (auto& bucket : dir_offers_)
-      std::sort(bucket.begin(), bucket.end(),
-                [](const Offer& a, const Offer& b) { return a.to < b.to; });
-  }
-
-  std::int64_t moved_this_step = 0;
-
-  // 4-way merge of the direction buckets: visits receiving nodes in
-  // ascending order, offers within a node in travel-direction order —
-  // the exact order the old (to, dir) comparison sort produced.
-  accepted_.clear();
-  std::array<std::size_t, kNumDirs> head{};
-  for (;;) {
-    NodeId v = kInvalidNode;
-    for (int d = 0; d < kNumDirs; ++d) {
-      if (head[d] < dir_offers_[d].size()) {
-        const NodeId t = dir_offers_[d][head[d]].to;
-        if (v == kInvalidNode || t < v) v = t;
-      }
-    }
-    if (v == kInvalidNode) break;
-    group_.clear();
-    for (int d = 0; d < kNumDirs; ++d) {
-      if (head[d] < dir_offers_[d].size() && dir_offers_[d][head[d]].to == v)
-        group_.push_back(dir_offers_[d][head[d]++]);
-    }
-    in_plan_.reset(group_.size());
-    algorithm_->plan_in(*this, v, std::span<const Offer>(group_), in_plan_);
-    MR_REQUIRE(in_plan_.accept.size() == group_.size());
-    for (std::size_t g = 0; g < group_.size(); ++g)
-      if (in_plan_.accept[g]) accepted_.push_back(group_[g]);
-  }
-  phase_end(StepPhase::PlanIn);
-
-  // ----- (d) transmission -------------------------------------------------
-  if (observed) digest_moves_.clear();
-  for (const ScheduledMove* m : deliveries_) {
-    Packet& pk = packets_[m->packet];
-    remove_from_node(pk.id);
-    pk.location = kInvalidNode;
-    pk.delivered_at = step_;
-    ++delivered_count_;
-    ++moved_this_step;
-    if (observed)
-      digest_moves_.push_back(
-          MoveRecord{pk.id, m->from, m->to, m->dir, /*delivered=*/true});
-  }
-  for (const Offer& o : accepted_) {
-    Packet& pk = packets_[o.packet];
-    const NodeId from = pk.location;
-    remove_from_node(pk.id);
-    place_packet(pk.id, o.to, arrival_tag(o.dir), active_);
-    pk.arrival_inlink =
-        static_cast<std::uint8_t>(dir_index(opposite(o.dir)));
-    ++moved_this_step;
-    ++total_moves_;
-    if (observed)
-      digest_moves_.push_back(
-          MoveRecord{pk.id, from, o.to, o.dir, /*delivered=*/false});
-  }
-
-  // No-overflow requirement of §2: check every node that received.
-  for (const Offer& o : accepted_) {
-    check_capacity_after_transmit(o.to);
-    record_occupancy(o.to, max_occupancy_seen_);
-  }
-  phase_end(StepPhase::Transmit);
-
-  // ----- (e) state updates -------------------------------------------------
-  // update_state runs in ascending NodeId over every node that held, sent
-  // or received a packet this step: the sorted pre-step active prefix plus
-  // the nodes activated by transmissions (the appended tail, sorted here).
-  // A drained node stays in the prefix until compaction below, so senders
-  // are covered.
-  {
-    const std::size_t mid = active_sorted_;
-    const std::size_t end = active_.size();
-    std::sort(active_.begin() + static_cast<std::ptrdiff_t>(mid),
-              active_.end());
-    std::size_t i = 0, j = mid;
-    while (i < mid || j < end) {
-      NodeId v;
-      if (j >= end || (i < mid && active_[i] < active_[j]))
-        v = active_[i++];
-      else
-        v = active_[j++];
-      algorithm_->update_state(*this, v);
-    }
-    std::inplace_merge(active_.begin(),
-                       active_.begin() + static_cast<std::ptrdiff_t>(mid),
-                       active_.end());
-  }
-
-  // Compact the active list (nodes that drained drop out).
-  active_.erase(std::remove_if(active_.begin(), active_.end(),
-                               [&](NodeId u) {
-                                 if (node_packets_.empty(u)) {
-                                   is_active_[u] = 0;
-                                   return true;
-                                 }
-                                 return false;
-                               }),
-                active_.end());
-  active_sorted_ = active_.size();
-  phase_end(StepPhase::Update);
-
-  // Stall detection (livelock guard for buggy algorithms). A step with no
-  // movement and no successful injection is a stall step even while
-  // packets wait outside the network for a full queue — those can only
-  // enter once something moves. Future-dated injections are exogenous
-  // progress, so they defer the check — unless the open-loop policy is on:
-  // a pump keeps such injections pending for the whole run, so deferring
-  // on them would mask any deadlock until the drain phase.
-  if (moved_this_step == 0 && injected_this_step_ == 0 &&
-      (stall_counts_pending_ || injection_cursor_ == injections_.size())) {
-    ++stall_run_;
-    if (stall_limit_ > 0 && stall_run_ >= stall_limit_)
-      stalled_ = true;
-  } else {
-    stall_run_ = 0;
-  }
-
-  if (observed) {
-    StepDigest digest;
-    digest.step = step_;
-    digest.moves = digest_moves_;
-    digest.injected_deliveries = injected_deliveries_;
-    digest.deliveries =
-        static_cast<std::int64_t>(deliveries_.size() +
-                                  injected_deliveries_.size());
-    digest.injections = injected_this_step_;
-    for (const MoveRecord& m : digest_moves_)
-      ++digest.moves_by_dir[dir_index(m.dir)];
-    digest.exchanges =
-        static_cast<std::int64_t>(exchange_count_) - exchanges_before_step_;
-    digest.stall_run = stall_run_;
-    digest.fault_blocked = fault_blocked_this_step_;
-    digest.fault_deferred = fault_deferred_this_step_;
-    for (StepObserver* ob : observers_) ob->on_step(*this, digest);
-  }
-
-  if (profiling_) {
-    ++phase_profile_.steps;
-    phase_profile_.total_seconds +=
-        std::chrono::duration<double>(Clock::now() - step_begin).count();
-  }
-  return true;
-}
-
-void Engine::distribute_to_shards() {
-  // active_ is sorted and bands own contiguous ascending id ranges, so the
-  // global list splits into the per-band lists by range.
-  std::size_t i = 0;
-  for (Shard& sh : shards_) {
-    sh.active.clear();
-    while (i < active_.size() && active_[i] < sh.node_end)
-      sh.active.push_back(active_[i++]);
-    sh.active_sorted = sh.active.size();
-    sh.waiting.clear();
-  }
-  for (PacketId p : waiting_injections_)
-    shards_[static_cast<std::size_t>(shard_of_node(packets_[p].source))]
-        .waiting.push_back(p);
-  waiting_injections_.clear();
-  active_cache_valid_ = true;  // active_ still matches the band lists
 }
 
 // One step of the banded pipeline. Each phase runs band-local work only;
 // cross-band data moves exclusively through single-writer mailboxes that
-// are read after the phase barrier run_shards() provides. Every iteration
-// order below mirrors the sequential path exactly — see DESIGN.md §9 for
-// the order-equivalence argument.
-bool Engine::step_parallel() {
+// are read after the phase barrier run_shards() provides. With one band
+// the mailboxes stay empty and every phase runs inline on the calling
+// thread. See DESIGN.md §9 for the order-equivalence argument.
+bool Engine::step_once() {
+  MR_REQUIRE_MSG(prepared_, "step before prepare()");
+  if (all_delivered()) return false;
   ++step_;
+
+  // Phase profiling: zero clock reads unless enabled.
   using Clock = std::chrono::steady_clock;
   Clock::time_point step_begin, phase_begin;
   if (profiling_) step_begin = phase_begin = Clock::now();
@@ -632,45 +423,14 @@ bool Engine::step_parallel() {
   fault_blocked_this_step_ = 0;
   fault_deferred_this_step_ = 0;
   apply_faults(step_);
-  const auto self = [this](std::size_t si) { return static_cast<int>(si); };
+  stage_injections();
+  double interceptor_seconds = 0;
 
-  // Injection staging (coordinator): the shared cursor hands each newly due
-  // packet to its source band, where it joins the band's waiting list.
-  for (Shard& sh : shards_) {
-    sh.due.clear();
-    sh.due.swap(sh.waiting);
-  }
-  while (injection_cursor_ < injections_.size() &&
-         injections_[injection_cursor_].first <= step_) {
-    const PacketId p = injections_[injection_cursor_].second;
-    shards_[static_cast<std::size_t>(shard_of_node(packets_[p].source))]
-        .due.push_back(p);
-    ++injection_cursor_;
-  }
-
-  // ---- injection + (a) outqueue policies, fused: both touch only nodes
-  // and packets the band owns.
+  // ---- injection + (a) outqueue policies (+ (b) adversary exchanges),
+  // fused: all touch only nodes and packets the band owns.
   run_shards([&](std::size_t si) {
     Shard& sh = shards_[si];
-    sh.injected = 0;
-    sh.moved = 0;
-    sh.delivered = 0;
-    sh.arrivals = 0;
-    sh.fault_blocked = 0;
-    sh.fault_deferred = 0;
-    sh.injected_deliveries.clear();
-    std::sort(sh.due.begin(), sh.due.end());
-    inject_packet_list(sh.due, sh.waiting, sh.active,
-                       observed ? &sh.injected_deliveries : nullptr,
-                       sh.injected, sh.delivered, sh.fault_deferred,
-                       sh.max_occupancy);
-    {  // merge the band active list (mirror of merge_active())
-      const auto mid =
-          sh.active.begin() + static_cast<std::ptrdiff_t>(sh.active_sorted);
-      std::sort(mid, sh.active.end());
-      std::inplace_merge(sh.active.begin(), mid, sh.active.end());
-      sh.active_sorted = sh.active.size();
-    }
+    inject_band(sh, observed);
     Algorithm& alg = *shard_algorithms_[si];
     sh.moves.clear();
     for (NodeId u : sh.active) {
@@ -684,17 +444,32 @@ bool Engine::step_parallel() {
         sh.moves.push_back(ScheduledMove{p, u, neighbor_of(u, d), d});
       }
     }
+    // Clear the double-schedule flags set by validate_out_plan: exactly the
+    // scheduled packets, so this is O(moves) instead of O(all packets).
     for (const ScheduledMove& m : sh.moves) packet_scheduled_[m.packet] = 0;
-    // Reroute-or-stall (mirror of the sequential fault filter): all of a
-    // band's moves originate at nodes it owns, so the per-band counters
-    // partition the global count.
+    // Reroute-or-stall: moves over links a fault took down are dropped (the
+    // packet stays queued and is re-planned next step on the masked mask).
+    // All of a band's moves originate at nodes it owns, so the per-band
+    // counters partition the global count.
     filter_faulted_moves(sh.moves, sh.fault_blocked);
 
-    // Classify: deliveries are sender-side operations wherever the target
-    // node lives; surviving offers go to the own-band direction buckets or,
-    // when the target row lies in another band, to the frontier mailbox
-    // that band will read after the barrier. Only N/S moves can cross a
-    // band edge (bands are whole rows).
+    // Phase (b): set_interceptor guarantees a single band, so this runs on
+    // the calling thread and sees the whole network.
+    if (interceptor_ != nullptr) {
+      const Clock::time_point begin =
+          profiling_ ? Clock::now() : Clock::time_point{};
+      run_interceptor(sh.moves);
+      if (profiling_)
+        interceptor_seconds =
+            std::chrono::duration<double>(Clock::now() - begin).count();
+    }
+
+    // Classify: arrivals at the destination are delivered by the model
+    // itself (§2), are not shown to the inqueue policy and are sender-side
+    // operations wherever the target node lives; other moves become offers
+    // in the own-band direction buckets or, when the target row lies in
+    // another band, in the frontier mailbox that band will read after the
+    // barrier. Only N/S moves can cross a band edge (bands are whole rows).
     sh.deliveries.clear();
     for (auto& bucket : sh.dir_offers) bucket.clear();
     sh.frontier_up.clear();
@@ -706,7 +481,7 @@ bool Engine::step_parallel() {
         continue;
       }
       const Offer o{m.packet, m.from, m.to, m.dir, pk.profitable};
-      if (shard_of_node(m.to) == self(si)) {
+      if (sh.owns(m.to)) {
         sh.dir_offers[dir_index(m.dir)].push_back(o);
       } else if (m.dir == Dir::North) {
         sh.frontier_up.push_back(o);
@@ -716,45 +491,55 @@ bool Engine::step_parallel() {
     }
   });
   phase_end(StepPhase::PlanOut);
-  phase_end(StepPhase::Interceptor);  // interceptors are sequential-only
+  if (profiling_) {
+    // Phase (b) ran inside the phase-(a) task; book its time to (b).
+    phase_profile_.seconds[static_cast<int>(StepPhase::PlanOut)] -=
+        interceptor_seconds;
+    phase_profile_.seconds[static_cast<int>(StepPhase::Interceptor)] +=
+        interceptor_seconds;
+  }
 
   // ---- (c) inqueue policies. Each band assembles its incoming offer
   // lists: own buckets plus the neighbours' frontier mailboxes. The
   // concatenation order (frontier-from-below before own for North, own
   // before frontier-from-above for South) keeps each list ascending in the
-  // receiving node, wrap links excepted.
+  // receiving node, wrap links excepted. A list with no frontier part is
+  // the own bucket, swapped in rather than copied.
   run_shards([&](std::size_t si) {
     Shard& sh = shards_[si];
     const std::size_t S = static_cast<std::size_t>(num_shards_);
     const Shard& below = shards_[(si + S - 1) % S];  // cyclic predecessor
     const Shard& above = shards_[(si + 1) % S];      // cyclic successor
-    for (auto& list : sh.in_offers) list.clear();
-    auto& north = sh.in_offers[dir_index(Dir::North)];
-    north.insert(north.end(), below.frontier_up.begin(),
-                 below.frontier_up.end());
-    const auto& own_n = sh.dir_offers[dir_index(Dir::North)];
-    north.insert(north.end(), own_n.begin(), own_n.end());
-    auto& south = sh.in_offers[dir_index(Dir::South)];
-    const auto& own_s = sh.dir_offers[dir_index(Dir::South)];
-    south.insert(south.end(), own_s.begin(), own_s.end());
-    south.insert(south.end(), above.frontier_down.begin(),
-                 above.frontier_down.end());
-    for (Dir d : {Dir::East, Dir::West}) {
-      auto& list = sh.in_offers[dir_index(d)];
-      const auto& own = sh.dir_offers[dir_index(d)];
+    const auto assemble = [](std::vector<Offer>& list, std::vector<Offer>& own,
+                             std::span<const Offer> before,
+                             std::span<const Offer> after) {
+      if (before.empty() && after.empty()) {
+        list.swap(own);
+        return;
+      }
+      list.clear();
+      list.insert(list.end(), before.begin(), before.end());
       list.insert(list.end(), own.begin(), own.end());
+      list.insert(list.end(), after.begin(), after.end());
+    };
+    for (Dir d : kAllDirs) {
+      const int di = dir_index(d);
+      assemble(sh.in_offers[di], sh.dir_offers[di],
+               d == Dir::North ? std::span<const Offer>(below.frontier_up)
+                               : std::span<const Offer>(),
+               d == Dir::South ? std::span<const Offer>(above.frontier_down)
+                               : std::span<const Offer>());
     }
     if (wraps_) {
-      // Wrap links break the monotone-receiver property (mirrors the
-      // sequential torus sort). Keys are unique per direction: a receiver
-      // has one inlink per direction.
+      // Wrap links break the monotone-receiver property. Keys are unique
+      // per direction: a receiver has one inlink per direction.
       for (auto& list : sh.in_offers)
         std::sort(list.begin(), list.end(),
                   [](const Offer& a, const Offer& b) { return a.to < b.to; });
     }
 
-    // 4-way merge, identical to the sequential engine: receivers ascending,
-    // offers within a receiver in direction-index order.
+    // 4-way merge of the direction lists: visits receiving nodes in
+    // ascending order, offers within a receiver in direction-index order.
     sh.accepted.clear();
     sh.accept_back_prev.clear();
     sh.accept_back_next.clear();
@@ -782,7 +567,7 @@ bool Engine::step_parallel() {
         if (!sh.in_plan.accept[g]) continue;
         const Offer& o = sh.group[g];
         sh.accepted.push_back(o);
-        if (shard_of_node(o.from) != self(si)) {
+        if (!sh.owns(o.from)) {
           // Tell the sender band after the barrier (accept-back mailbox).
           if (o.dir == Dir::North)
             sh.accept_back_prev.push_back(o);
@@ -808,7 +593,7 @@ bool Engine::step_parallel() {
       ++sh.moved;
     }
     for (const Offer& o : sh.accepted)
-      if (shard_of_node(o.from) == self(si)) remove_from_node(o.packet);
+      if (sh.owns(o.from)) remove_from_node(o.packet);
     const std::size_t S = static_cast<std::size_t>(num_shards_);
     // Frontier offers this band sent that the neighbours accepted: the
     // successor's accept_back_prev and the predecessor's accept_back_next
@@ -835,7 +620,11 @@ bool Engine::step_parallel() {
   });
   phase_end(StepPhase::Transmit);
 
-  // ---- (e) state updates + band active-list compaction -----------------
+  // ---- (e) state updates + band active-list compaction. update_state
+  // runs in ascending NodeId over every node that held, sent or received a
+  // packet this step: the sorted pre-step active prefix plus the nodes
+  // activated by transmissions (the appended tail, sorted here). A drained
+  // node stays in the prefix until compaction, so senders are covered.
   run_shards([&](std::size_t si) {
     Shard& sh = shards_[si];
     Algorithm& alg = *shard_algorithms_[si];
@@ -869,23 +658,15 @@ bool Engine::step_parallel() {
   phase_end(StepPhase::Update);
 
   // ---- coordinator: fold the band counters, stall check, digest --------
-  std::int64_t moved_this_step = 0;
-  std::int64_t delivered_this_step = 0;
-  std::int64_t arrivals_this_step = 0;
-  injected_this_step_ = 0;
-  for (const Shard& sh : shards_) {
-    moved_this_step += sh.moved;
-    delivered_this_step += sh.delivered;
-    arrivals_this_step += sh.arrivals;
-    injected_this_step_ += sh.injected;
-    fault_blocked_this_step_ += sh.fault_blocked;
-    fault_deferred_this_step_ += sh.fault_deferred;
-    max_occupancy_seen_ = std::max(max_occupancy_seen_, sh.max_occupancy);
-  }
-  delivered_count_ += static_cast<std::size_t>(delivered_this_step);
-  total_moves_ += arrivals_this_step;
-  active_cache_valid_ = false;
+  const std::int64_t moved_this_step = fold_shards(observed);
 
+  // Stall detection (livelock guard for buggy algorithms). A step with no
+  // movement and no successful injection is a stall step even while
+  // packets wait outside the network for a full queue — those can only
+  // enter once something moves. Future-dated injections are exogenous
+  // progress, so they defer the check — unless the open-loop policy is on:
+  // a pump keeps such injections pending for the whole run, so deferring
+  // on them would mask any deadlock until the drain phase.
   if (moved_this_step == 0 && injected_this_step_ == 0 &&
       (stall_counts_pending_ || injection_cursor_ == injections_.size())) {
     ++stall_run_;
@@ -896,29 +677,27 @@ bool Engine::step_parallel() {
   }
 
   if (observed) {
-    // Digest assembly: band concatenation reproduces the sequential order
-    // exactly — deliveries ascend in the sending node, accepted hops in
-    // the receiving node, because bands cover ascending id ranges.
+    // Digest assembly: band concatenation gives the global order —
+    // deliveries ascend in the sending node, accepted hops in the
+    // receiving node, because bands cover ascending id ranges.
     digest_moves_.clear();
-    for (const Shard& sh : shards_)
+    std::int64_t move_deliveries = 0;
+    for (const Shard& sh : shards_) {
+      move_deliveries += static_cast<std::int64_t>(sh.deliveries.size());
       for (const ScheduledMove& m : sh.deliveries)
         digest_moves_.push_back(
             MoveRecord{m.packet, m.from, m.to, m.dir, /*delivered=*/true});
+    }
     for (const Shard& sh : shards_)
       for (const Offer& o : sh.accepted)
         digest_moves_.push_back(
             MoveRecord{o.packet, o.from, o.to, o.dir, /*delivered=*/false});
-    injected_deliveries_.clear();
-    for (const Shard& sh : shards_)
-      injected_deliveries_.insert(injected_deliveries_.end(),
-                                  sh.injected_deliveries.begin(),
-                                  sh.injected_deliveries.end());
-    std::sort(injected_deliveries_.begin(), injected_deliveries_.end());
     StepDigest digest;
     digest.step = step_;
     digest.moves = digest_moves_;
     digest.injected_deliveries = injected_deliveries_;
-    digest.deliveries = delivered_this_step;
+    digest.deliveries =
+        move_deliveries + static_cast<std::int64_t>(injected_deliveries_.size());
     digest.injections = injected_this_step_;
     for (const MoveRecord& m : digest_moves_)
       ++digest.moves_by_dir[dir_index(m.dir)];

@@ -16,18 +16,19 @@
 // implements the same observable semantics move for move; the differential
 // fuzzer (check/fuzz.hpp) asserts the two stay bit-identical.
 //
-// Sharded parallel stepping (Config::shards > 1) tiles the mesh into
-// horizontal row bands and steps them concurrently on a persistent worker
-// pool, exchanging frontier offers/acceptances at band boundaries through
+// Stepping is one banded pipeline for every shard count: the mesh is
+// tiled into Config::shards horizontal row bands (one band by default),
+// stepped on a persistent worker pool when there is more than one thread,
+// exchanging frontier offers/acceptances at band boundaries through
 // single-writer mailboxes between barrier-separated phases (DESIGN.md §9).
-// The handoff protocol preserves every sequential iteration order, so
-// fingerprints, digests and counters are bit-identical to shards = 1 for
-// every shards/threads combination.
+// The handoff protocol makes the band concatenation reproduce the
+// one-band iteration orders, so fingerprints, digests and counters are
+// bit-identical for every shards/threads combination.
 //
 // Per-step cost is O(active nodes + moves): queue occupancy is maintained
 // as incremental counters, packets carry their queue-slot index and cached
-// profitable mask, the active-node list stays sorted by merging newly
-// activated nodes instead of re-sorting, and offers are grouped by
+// profitable mask, each band's active-node list stays sorted by merging
+// newly activated nodes instead of re-sorting, and offers are grouped by
 // receiving node via a 4-way merge of the per-direction move streams
 // instead of a comparison sort.
 //
@@ -155,17 +156,16 @@ class Engine : public Sim {
   PacketId pump_packet(NodeId source, NodeId dest, Step injected_at);
 
   void set_interceptor(StepInterceptor* interceptor) {
-    // Phase (b) exchanges reclassify deliveries between phases (a) and (c),
-    // which the banded pipeline does not replay; adversary runs are
-    // sequential by construction.
+    // Phase (b) exchanges reclassify deliveries between phases (a) and (c)
+    // and may read any node, so they run inside the one band's phase-(a)
+    // task; adversary runs are sequential by construction.
     MR_REQUIRE_MSG(num_shards_ == 1 || interceptor == nullptr,
-                   "StepInterceptor requires the sequential engine "
-                   "(Config::shards = 1)");
+                   "StepInterceptor requires one band (Config::shards = 1)");
     interceptor_ = interceptor;
   }
 
   /// Number of row bands actually in use (config value clamped to the mesh
-  /// height); 1 means classic sequential stepping.
+  /// height); 1 steps the whole mesh as one band on the calling thread.
   int shard_count() const { return num_shards_; }
   /// Execution lanes stepping the bands (1 = serial).
   int thread_count() const {
@@ -213,9 +213,10 @@ class Engine : public Sim {
 
   // --- Sim interface -----------------------------------------------------
   /// Nodes currently holding at least one packet, ascending by NodeId.
-  /// Valid between steps and inside on_prepare_end / on_step_end. In
-  /// sharded mode the global list is rebuilt lazily by concatenating the
-  /// per-band lists (bands own contiguous ascending NodeId ranges, so the
+  /// Valid between steps, inside on_prepare_end / on_step_end and inside
+  /// a StepInterceptor. With one band this is the band's own list; with
+  /// more, the global list is rebuilt lazily by concatenating the per-band
+  /// lists (bands own contiguous ascending NodeId ranges, so the
   /// concatenation is sorted).
   std::span<const NodeId> active_nodes() const override;
   /// Occupancy of one inlink queue (PerInlink layout only). O(1): read
@@ -228,29 +229,37 @@ class Engine : public Sim {
   void exchange_destinations(PacketId a, PacketId b) override;
 
  private:
-  /// One row band of the sharded pipeline: bands own contiguous NodeId
-  /// ranges (row-major ids), so per-band sorted lists concatenate to
-  /// globally sorted lists — the property the deterministic handoff
-  /// protocol rests on. All vectors are reused across steps.
+  /// One row band of the pipeline: bands own contiguous NodeId ranges
+  /// (row-major ids), so per-band sorted lists concatenate to globally
+  /// sorted lists — the property the deterministic handoff protocol rests
+  /// on. All vectors are reused across steps.
   struct Shard {
     NodeId node_begin = 0;
     NodeId node_end = 0;  ///< one past the last owned node
 
-    // Band-local mirror of active_/active_sorted_.
+    bool owns(NodeId u) const { return u >= node_begin && u < node_end; }
+
+    // Nodes of this band holding >= 1 packet. The first active_sorted
+    // entries are sorted ascending; place_packet appends newly activated
+    // nodes past that prefix and the step merges them in. Idle nodes cost
+    // nothing per step.
     std::vector<NodeId> active;
     std::size_t active_sorted = 0;
 
-    // Injection: packets due earlier whose source queue was full, and the
-    // per-step staging list (waiting + newly due, sorted by id).
+    // Injection: packets due earlier whose source queue was full (sorted
+    // by id), and the per-step staging list (waiting + newly due).
     std::vector<PacketId> waiting;
     std::vector<PacketId> due;
     std::vector<PacketId> injected_deliveries;
 
-    // Phase (a) output. Offers that stay in the band go to dir_offers;
-    // offers crossing the band edge go to the frontier mailboxes, consumed
-    // by the cyclic successor (frontier_up, travelling north) or
-    // predecessor (frontier_down, travelling south). Single writer per
-    // mailbox, read only after the phase barrier.
+    // Phase (a) output. Offers that stay in the band go to dir_offers,
+    // bucketed by travel direction (for a fixed direction the mesh
+    // neighbour map is monotone in the sender, so each bucket is sorted by
+    // receiving node, torus wrap links excepted); offers crossing the band
+    // edge go to the frontier mailboxes, consumed by the cyclic successor
+    // (frontier_up, travelling north) or predecessor (frontier_down,
+    // travelling south). Single writer per mailbox, read only after the
+    // phase barrier.
     std::vector<ScheduledMove> moves;
     std::vector<ScheduledMove> deliveries;
     std::array<std::vector<Offer>, kNumDirs> dir_offers;
@@ -266,7 +275,7 @@ class Engine : public Sim {
     std::vector<Offer> accept_back_prev;  ///< senders in the cyclic predecessor
     std::vector<Offer> accept_back_next;  ///< senders in the cyclic successor
 
-    // Per-band scratch and counters, merged by the coordinator.
+    // Per-band scratch and per-step counters, folded by the coordinator.
     std::vector<Offer> group;
     OutPlan out_plan;
     InPlan in_plan;
@@ -279,16 +288,12 @@ class Engine : public Sim {
     int max_occupancy = 0;
   };
 
-  void inject_due_packets();
   void place_packet(PacketId p, NodeId node, QueueTag tag,
                     std::vector<NodeId>& active_out);
   void remove_from_node(PacketId p);
   void validate_out_plan(NodeId u, const OutPlan& plan);
   void check_capacity_after_transmit(NodeId v);
   void record_occupancy(NodeId u, int& peak);
-  /// Sorts the appended tail of active_ and merges it into the sorted
-  /// prefix, restoring the ascending-NodeId invariant.
-  void merge_active();
   QueueTag arrival_tag(Dir travel_dir) const;
   QueueTag injection_queue_tag(PacketId p) const;
   std::size_t inlink_index(NodeId u, QueueTag tag) const {
@@ -302,21 +307,23 @@ class Engine : public Sim {
                          static_cast<std::size_t>(dir_index(d))];
   }
 
-  // --- sharded stepping (see DESIGN.md §9) ------------------------------
+  // --- banded stepping (see DESIGN.md §9) -------------------------------
   Engine(const Topology& topo, Config config, std::unique_ptr<Algorithm> first,
          const AlgorithmFactory& factory);
   /// Shared constructor tail: validates the config, sizes the per-node
   /// state, carves the row bands and creates the worker pool.
   void init_engine(const Config& config);
-  /// Injects the packets of `due` (already sorted by id) into their source
-  /// queues; the out-parameters let the sequential path and each band
-  /// account into their own state.
-  void inject_packet_list(const std::vector<PacketId>& due,
-                          std::vector<PacketId>& waiting_out,
-                          std::vector<NodeId>& active_out,
-                          std::vector<PacketId>* injected_deliveries_out,
-                          std::int64_t& injected, std::int64_t& delivered,
-                          std::int64_t& fault_deferred, int& peak);
+  /// Coordinator: moves every band's waiting list to its staging list and
+  /// hands each newly due packet to its source band.
+  void stage_injections();
+  /// Band task: resets the band's per-step counters, injects its staged
+  /// packets in id order and merges newly activated nodes into its sorted
+  /// active list.
+  void inject_band(Shard& sh, bool observed);
+  /// Coordinator: folds the band counters into the run totals in band
+  /// order and, when observed, gathers the injected deliveries sorted by
+  /// id. Returns the step's hop count (deliveries included).
+  std::int64_t fold_shards(bool observed);
   /// Drops scheduled moves over unavailable links (down link, down
   /// endpoint) in place, counting them into `blocked`. No-op unless a
   /// fault is active. Runs after phase (a) — before the adversary and the
@@ -324,12 +331,14 @@ class Engine : public Sim {
   /// dead link is caught too.
   void filter_faulted_moves(std::vector<ScheduledMove>& moves,
                             std::int64_t& blocked);
-  /// Distributes the post-prepare() active/waiting state to the bands.
-  void distribute_to_shards();
-  /// Runs fn(s) for every band, on the pool when one exists. A full
-  /// barrier; exceptions rethrow from the lowest band index.
-  void run_shards(const std::function<void(std::size_t)>& fn);
-  bool step_parallel();
+  /// Phase (b): hands the scheduled moves to the interceptor and re-checks
+  /// minimality of every move afterwards.
+  void run_interceptor(std::span<const ScheduledMove> moves);
+  /// Runs fn(s) for every band, on the pool when one exists and inline
+  /// otherwise. A full barrier; exceptions rethrow from the lowest band
+  /// index.
+  template <typename Fn>
+  void run_shards(const Fn& fn);
   int shard_of_node(NodeId u) const {
     return band_of_row_[static_cast<std::size_t>(u) /
                         static_cast<std::size_t>(topo_width_)];
@@ -344,9 +353,6 @@ class Engine : public Sim {
   std::vector<std::int32_t> band_of_row_;
   std::vector<Shard> shards_;
   std::unique_ptr<WorkerPool> pool_;
-  /// False when the per-band active lists are ahead of active_; the global
-  /// list is rebuilt on demand in active_nodes().
-  mutable bool active_cache_valid_ = true;
   Step stall_limit_;
   bool stall_counts_pending_;
   bool enforce_minimal_;
@@ -364,7 +370,6 @@ class Engine : public Sim {
   // injection buffer: (step, packet) sorted ascending; cursor advances.
   std::vector<std::pair<Step, PacketId>> injections_;
   std::size_t injection_cursor_ = 0;
-  std::vector<PacketId> waiting_injections_;  // due but queue was full
 
   StepInterceptor* interceptor_ = nullptr;
 
@@ -377,32 +382,16 @@ class Engine : public Sim {
   bool profiling_ = false;
   PhaseProfile phase_profile_;
 
-  // Nodes currently holding >=1 packet. The first active_sorted_ entries
-  // are sorted ascending; place_packet appends newly activated nodes past
-  // that prefix and merge_active() restores the invariant. Idle nodes cost
-  // nothing per step. Mutable: in sharded mode this is a cache of the
-  // per-band lists, rebuilt lazily inside const active_nodes().
+  /// Multi-band only: the concatenated per-band active lists, rebuilt
+  /// lazily inside const active_nodes() when active_cache_valid_ is false.
   mutable std::vector<NodeId> active_;
-  std::size_t active_sorted_ = 0;
+  mutable bool active_cache_valid_ = true;
   std::vector<std::uint8_t> is_active_;
-
-  // scratch (reused per step, no allocation on the hot path)
-  std::vector<ScheduledMove> moves_;
-  /// Offers bucketed by travel direction. For a fixed direction the mesh
-  /// neighbor map is monotone in the sender, so each bucket is sorted by
-  /// receiving node by construction (torus wrap links excepted).
-  std::vector<Offer> dir_offers_[kNumDirs];
-  std::vector<Offer> group_;
-  std::vector<Offer> accepted_;
-  std::vector<const ScheduledMove*> deliveries_;
-  std::vector<PacketId> due_;
   std::vector<std::uint8_t> packet_scheduled_;
-  OutPlan out_plan_;
-  InPlan in_plan_;
 
-  // Digest scratch (valid during observer dispatch only). digest_moves_ is
-  // built in phase (d) — delivering hops first, then accepted hops, both
-  // in engine order — and only when at least one observer is registered.
+  // Digest scratch (valid during observer dispatch only), assembled by the
+  // coordinator from the band lists: delivering hops first, then accepted
+  // hops, both in band order; built only when an observer is registered.
   std::vector<MoveRecord> digest_moves_;
   std::vector<PacketId> injected_deliveries_;
   std::int64_t exchanges_before_step_ = 0;

@@ -7,8 +7,8 @@
 // lists, cached profitable masks, per-band partitions — is derived, and
 // restore() rebuilds it from the packet records: packets sorted by
 // (location, slot) replayed through the slab reproduce the exact queue
-// contents, and since that order is ascending in location, the active
-// list comes out sorted for free.
+// contents, and since that order is ascending in location, the per-band
+// active lists come out sorted for free.
 #include "sim/engine.hpp"
 
 #include <algorithm>
@@ -56,19 +56,13 @@ EngineSnapshot Engine::snapshot() const {
   s.node_state = node_state_;
   s.injections = injections_;
   s.injection_cursor = injection_cursor_;
-  if (num_shards_ > 1) {
-    // The global waiting list was partitioned into per-band lists by
-    // distribute_to_shards(); concatenate and re-sort by id — each band
-    // list is id-sorted (built by id-ordered injection), so the sort only
-    // undoes the partition and restore's re-partition reproduces the band
-    // lists exactly.
-    for (const Shard& sh : shards_)
-      s.waiting_injections.insert(s.waiting_injections.end(), sh.waiting.begin(),
-                                  sh.waiting.end());
-    std::sort(s.waiting_injections.begin(), s.waiting_injections.end());
-  } else {
-    s.waiting_injections = waiting_injections_;
-  }
+  // Each band's waiting list is id-sorted (built by id-ordered
+  // injection); concatenating and re-sorting gives the global list, which
+  // restore() partitions back into the same band lists.
+  for (const Shard& sh : shards_)
+    s.waiting_injections.insert(s.waiting_injections.end(), sh.waiting.begin(),
+                                sh.waiting.end());
+  std::sort(s.waiting_injections.begin(), s.waiting_injections.end());
 
   s.delivered_count = delivered_count_;
   s.stalled = stalled_;
@@ -137,7 +131,6 @@ void Engine::restore(const EngineSnapshot& snap) {
   node_state_ = snap.node_state;
   injections_ = snap.injections;
   injection_cursor_ = static_cast<std::size_t>(snap.injection_cursor);
-  waiting_injections_ = snap.waiting_injections;
   step_ = snap.meta.step;
   delivered_count_ = static_cast<std::size_t>(snap.delivered_count);
   stalled_ = snap.stalled;
@@ -152,7 +145,10 @@ void Engine::restore(const EngineSnapshot& snap) {
   node_packets_.reset(n, node_packets_.stride());
   if (layout_ == QueueLayout::PerInlink) inlink_occ_.assign(n * kNumDirs, 0);
   is_active_.assign(n, 0);
-  active_.clear();
+  for (Shard& sh : shards_) {
+    sh.active.clear();
+    sh.waiting.clear();
+  }
 
   // Replaying the queued packets in (location, slot) order through the
   // slab reproduces every queue in arrival order; push_back returning a
@@ -182,10 +178,15 @@ void Engine::restore(const EngineSnapshot& snap) {
       ++inlink_occ_[inlink_index(pk.location, pk.queue)];
     if (!is_active_[pk.location]) {
       is_active_[pk.location] = 1;
-      active_.push_back(pk.location);
+      shards_[static_cast<std::size_t>(shard_of_node(pk.location))]
+          .active.push_back(pk.location);
     }
   }
-  active_sorted_ = active_.size();  // queued was location-ordered
+  // queued was location-ordered, so every band list is sorted.
+  for (Shard& sh : shards_) sh.active_sorted = sh.active.size();
+  for (PacketId p : snap.waiting_injections)
+    shards_[static_cast<std::size_t>(shard_of_node(packets_[p].source))]
+        .waiting.push_back(p);
   packet_scheduled_.assign(packets_.size(), 0);
 
   // Fault availability is derived state: snapshots carry no fault fields,
@@ -196,8 +197,7 @@ void Engine::restore(const EngineSnapshot& snap) {
   apply_faults(step_);
 
   prepared_ = true;
-  if (num_shards_ > 1) distribute_to_shards();
-  active_cache_valid_ = true;
+  active_cache_valid_ = false;
 }
 
 }  // namespace mr

@@ -1,6 +1,7 @@
 #include "topo/topology.hpp"
 
 #include <cstdlib>
+#include <limits>
 
 namespace mr {
 
@@ -9,6 +10,11 @@ Topology::Topology(std::int32_t width, std::int32_t height, bool wraps)
   MR_REQUIRE_MSG(width >= 1 && height >= 1,
                  "mesh dimensions must be positive, got " << width << "x"
                                                           << height);
+  // num_nodes() is an int32 product; NodeIds must stay representable.
+  MR_REQUIRE_MSG(static_cast<std::int64_t>(width) * height <=
+                     std::numeric_limits<std::int32_t>::max(),
+                 "mesh " << width << "x" << height
+                         << " has more nodes than fit an int32 NodeId");
 }
 
 std::vector<NodeId> Topology::all_nodes() const {

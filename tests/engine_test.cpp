@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "routing/dimension_order.hpp"
 #include "routing/registry.hpp"
 #include "sim/engine.hpp"
@@ -192,6 +194,37 @@ TEST(Engine, InterceptorExchangeSwapsDestinations) {
   EXPECT_EQ(e.packet(0).dest, m.id_of(5, 4));
   EXPECT_EQ(e.packet(1).dest, m.id_of(4, 5));
   EXPECT_EQ(e.exchange_count(), 1u);
+}
+
+TEST(Engine, InterceptorTimeIsBookedToItsPhase) {
+  // Phase (b) runs inside the phase-(a) band task; the profile must still
+  // book the interceptor's wall time to StepPhase::Interceptor.
+  class Spinner : public StepInterceptor {
+   public:
+    void after_schedule(Sim&, std::span<const ScheduledMove>) override {
+      using Clock = std::chrono::steady_clock;
+      const Clock::time_point until =
+          Clock::now() + std::chrono::microseconds(50);
+      while (Clock::now() < until) {
+      }
+    }
+  };
+  const Mesh m = Mesh::square(6);
+  DimensionOrderRouter algo;
+  Engine e(m, cfg(1), algo);
+  // Row-first paths on disjoint rows and columns: no contention.
+  e.add_packet(m.id_of(0, 0), m.id_of(5, 5));
+  e.add_packet(m.id_of(5, 5), m.id_of(0, 0));
+  Spinner spinner;
+  e.set_interceptor(&spinner);
+  e.set_phase_profiling(true);
+  e.prepare();
+  e.run(100);
+  ASSERT_TRUE(e.all_delivered());
+  const PhaseProfile& profile = e.phase_profile();
+  EXPECT_EQ(profile.steps, e.step());
+  EXPECT_GE(profile.seconds[static_cast<int>(StepPhase::Interceptor)],
+            static_cast<double>(e.step()) * 50e-6);
 }
 
 /// Pathological router that never schedules or accepts anything — the

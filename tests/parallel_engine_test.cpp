@@ -1,9 +1,14 @@
-// Bit-identical equivalence of the sharded parallel engine (DESIGN.md §9)
-// with the sequential engine: per-step fingerprints, digest streams and
-// final counters must match for every registered router across shard
-// (tile) counts and thread counts, on the mesh and the torus, including
-// uneven bands (height not divisible by the shard count) and the staggered
-// -injection / full-queue waiting paths.
+// Bit-identical equivalence of the banded engine (DESIGN.md §9) across
+// band counts: per-step fingerprints, digest streams and final counters of
+// multi-band runs must match the one-band run for every registered router
+// across shard (tile) counts and thread counts, on the mesh and the torus,
+// including uneven bands (height not divisible by the shard count) and the
+// staggered-injection / full-queue waiting paths.
+//
+// The baseline here is one band of the same pipeline, not an independent
+// implementation; the independent oracles are the fingerprint goldens
+// (fingerprint_regression_test) and the naive ReferenceEngine
+// (reference_engine_test, which also steps a sharded engine in lock-step).
 #include <gtest/gtest.h>
 
 #include <cstdint>

@@ -23,15 +23,20 @@ namespace {
 
 /// Runs both engines on the same (mesh, k, workload) in lock-step and
 /// asserts fingerprints, digest hashes and counters agree at every step.
+/// `shards`/`threads` configure the optimized engine's row bands.
 void expect_lockstep(const Mesh& mesh, const std::string& algorithm, int k,
-                     const Workload& demands, Step budget = 2048) {
-  auto algo_opt = make_algorithm(algorithm);
+                     const Workload& demands, int shards = 1, int threads = 1,
+                     Step budget = 2048) {
   auto algo_ref = make_algorithm(algorithm);
 
   Engine::Config config;
   config.queue_capacity = k;
   config.stall_limit = 64;
-  Engine opt(mesh, config, *algo_opt);
+  config.shards = shards;
+  config.threads = threads;
+  Engine opt(mesh, config, [&] { return make_algorithm(algorithm); });
+  ASSERT_EQ(opt.shard_count(), shards);
+  ASSERT_EQ(opt.thread_count(), threads);
   ReferenceEngine ref(mesh, k, config.stall_limit, *algo_ref);
 
   DigestHasher hash_opt, hash_ref;
@@ -109,6 +114,17 @@ TEST(ReferenceEngine, MatchesEngineOnStaggeredInjections) {
   for (std::size_t i = 0; i < demands.size(); ++i)
     demands[i].injected_at = static_cast<Step>(i % 7);
   expect_lockstep(mesh, "greedy-match", 1, demands);
+}
+
+TEST(ReferenceEngine, MatchesShardedEngineOnTorus) {
+  // Four bands on two threads: wrap links cross between the extreme bands
+  // and staggered injections exercise the per-band waiting lists.
+  const Mesh mesh = Mesh::square(8, /*torus=*/true);
+  Workload demands = transpose(mesh);
+  for (std::size_t i = 0; i < demands.size(); ++i)
+    demands[i].injected_at = static_cast<Step>(i % 7);
+  expect_lockstep(mesh, "dimension-order", 2, demands, /*shards=*/4,
+                  /*threads=*/2);
 }
 
 TEST(ReferenceEngine, MatchesEngineOnNonMinimalRouter) {

@@ -97,6 +97,21 @@ TEST(JobSpec, RejectsMalformedSpecs) {
       parse_ok("{\"algorithm\": \"dimension-order\", \"width\": 4, "
                "\"height\": 4, \"traffic\": {\"rate\": 0.1}}"),
       &spec, &error));  // traffic without steps
+  // Sizes past int32 are rejected, not truncated (2^32 + 1 would become 1).
+  EXPECT_FALSE(parse_job_spec(
+      parse_ok("{\"algorithm\": \"dimension-order\", \"width\": 4294967297, "
+               "\"height\": 4}"),
+      &spec, &error));
+  EXPECT_NE(error.find("int32"), std::string::npos) << error;
+  for (const char* key : {"k", "shards", "threads"}) {
+    EXPECT_FALSE(parse_job_spec(
+        parse_ok(std::string("{\"algorithm\": \"dimension-order\", "
+                             "\"width\": 4, \"height\": 4, \"") +
+                 key + "\": 4294967297}"),
+        &spec, &error))
+        << key;
+    EXPECT_NE(error.find("int32"), std::string::npos) << error;
+  }
   EXPECT_FALSE(error.empty());
 }
 

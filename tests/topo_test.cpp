@@ -91,6 +91,8 @@ TEST(Mesh, ProfitableMovesReduceDistance) {
 TEST(Mesh, RejectsBadDimensions) {
   EXPECT_THROW(Mesh(0, 5), InvariantViolation);
   EXPECT_THROW(Mesh(5, -1), InvariantViolation);
+  // 65536 x 65536 nodes overflow the int32 num_nodes().
+  EXPECT_THROW(Mesh(65536, 65536), InvariantViolation);
 }
 
 // Exhaustive wrap-tie contract on an even-dimension torus: a displacement
