@@ -18,7 +18,7 @@
 namespace mr::scenarios {
 namespace {
 
-struct EscapeTally : Observer {
+struct EscapeTally : StepObserver {
   const MainGeometry* geo = nullptr;
   std::int32_t dn = 0;
   std::vector<std::int64_t> in_window_n, in_window_e, early, late;
@@ -37,27 +37,26 @@ struct EscapeTally : Observer {
     step_e.assign(classes, 0);
   }
 
-  void on_move(const Sim& e, const Packet& pk, NodeId from,
-               NodeId to) override {
-    const PacketClass cls = geo->classify(e.mesh().coord_of(pk.source),
-                                          e.mesh().coord_of(pk.dest));
-    if (cls.type == ClassType::None) return;
-    if (!geo->in_box(e.mesh().coord_of(from), cls.i) ||
-        geo->in_box(e.mesh().coord_of(to), cls.i))
-      return;
-    const Step t = e.step();
-    if (t <= (cls.i - 1) * dn) {
-      ++early[cls.i];
-    } else if (t <= cls.i * dn) {
-      (cls.type == ClassType::N ? in_window_n : in_window_e)[cls.i]++;
-      auto& per_step = cls.type == ClassType::N ? step_n : step_e;
-      max_per_step = std::max(max_per_step, ++per_step[cls.i]);
-    } else {
-      ++late[cls.i];
+  void on_step(const Sim& e, const StepDigest& d) override {
+    const Step t = d.step;
+    for (const MoveRecord& m : d.moves) {
+      const Packet& pk = e.packet(m.packet);
+      const PacketClass cls = geo->classify(e.mesh().coord_of(pk.source),
+                                            e.mesh().coord_of(pk.dest));
+      if (cls.type == ClassType::None) continue;
+      if (!geo->in_box(e.mesh().coord_of(m.from), cls.i) ||
+          geo->in_box(e.mesh().coord_of(m.to), cls.i))
+        continue;
+      if (t <= (cls.i - 1) * dn) {
+        ++early[cls.i];
+      } else if (t <= cls.i * dn) {
+        (cls.type == ClassType::N ? in_window_n : in_window_e)[cls.i]++;
+        auto& per_step = cls.type == ClassType::N ? step_n : step_e;
+        max_per_step = std::max(max_per_step, ++per_step[cls.i]);
+      } else {
+        ++late[cls.i];
+      }
     }
-  }
-
-  void on_step_end(const Sim&) override {
     std::fill(step_n.begin(), step_n.end(), 0);
     std::fill(step_e.begin(), step_e.end(), 0);
   }

@@ -1,11 +1,10 @@
-// E13 as a scenario: the engine_bench sweep rendered as a table. Not a
-// paper experiment; it establishes that the laptop-scale sweeps in
+// E13 as a scenario: the engine_bench router sweep rendered as a table.
+// Not a paper experiment; it establishes that the laptop-scale sweeps in
 // E01–E12 are feasible and tracks regressions in the hot path. The
-// machine-readable BENCH_engine.json record stays with the
-// e13_engine_throughput binary (--json), which shares run_once() with
-// this registration, so its steps/moves stay bit-identical.
+// machine-readable BENCH_engine.json record
+// (`meshroute_bench --engine-record=PATH`) is built from the same
+// router_sweep(), so its steps/moves stay bit-identical to this table.
 #include "engine_bench.hpp"
-#include "routing/registry.hpp"
 #include "scenarios.hpp"
 
 namespace mr::scenarios {
@@ -18,42 +17,31 @@ void register_e13(ScenarioRegistry& registry) {
   spec.paper_ref = "not a paper claim; simulator hot-path record";
   spec.body = [](ScenarioReport& ctx) {
     const bool smoke = ctx.scale() == Scale::Small;
-    const std::vector<std::int32_t> sizes =
-        smoke ? std::vector<std::int32_t>{8}
-              : std::vector<std::int32_t>{32, 64, 120};
-    const int reps = smoke ? 1 : 3;
-
     Table table({"router", "layout", "n", "steps", "moves", "Kmoves/s",
                  "delivered", "stalled"});
     bool none_stalled = true;
     bool all_delivered = true;
-    for (const std::string& name : algorithm_names()) {
-      for (std::int32_t n : sizes) {
-        engine_bench::RunStats best;
-        for (int rep = 0; rep < reps; ++rep) {
-          engine_bench::RunStats r = engine_bench::run_once(name, n);
-          if (rep == 0 || r.moves_per_sec > best.moves_per_sec) best = r;
-        }
-        none_stalled = none_stalled && !best.stalled;
-        all_delivered = all_delivered && best.delivered == best.packets;
-        table.row()
-            .add(best.router)
-            .add(best.layout)
-            .add(std::int64_t(best.n))
-            .add(best.steps)
-            .add(best.moves)
-            .add(best.moves_per_sec / 1e3, 2)
-            .add(std::to_string(best.delivered) + "/" +
-                 std::to_string(best.packets))
-            .add(best.stalled ? "STALLED" : "no");
-      }
+    for (const engine_bench::RunStats& best :
+         engine_bench::router_sweep(smoke)) {
+      none_stalled = none_stalled && !best.stalled;
+      all_delivered = all_delivered && best.delivered == best.packets;
+      table.row()
+          .add(best.router)
+          .add(best.layout)
+          .add(std::int64_t(best.n))
+          .add(best.steps)
+          .add(best.moves)
+          .add(best.moves_per_sec / 1e3, 2)
+          .add(std::to_string(best.delivered) + "/" +
+               std::to_string(best.packets))
+          .add(best.stalled ? "STALLED" : "no");
     }
     ctx.table(table);
     ctx.note(
-        "Same run_once() sweep as `e13_engine_throughput --json` (queue "
+        "Same router_sweep() as `meshroute_bench --engine-record` (queue "
         "capacity " +
         std::to_string(engine_bench::kQueueCapacity) +
-        ", best of " + std::to_string(reps) +
+        ", best of " + std::to_string(engine_bench::sweep_reps(smoke)) +
         "); only Kmoves/s is timing-sensitive — steps and moves are "
         "deterministic.");
     ctx.check("no-router-stalled", none_stalled);

@@ -2,17 +2,20 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
+#include <utility>
 
 #include "core/json_min.hpp"
 #include "routing/registry.hpp"
 #include "sim/engine.hpp"
 #include "topo/mesh.hpp"
+#include "workload/permutation.hpp"
 
 namespace mr::engine_bench {
+namespace {
 
 Workload workload_for(const Mesh& mesh, bool per_inlink) {
   Workload w;
@@ -24,9 +27,79 @@ Workload workload_for(const Mesh& mesh, bool per_inlink) {
   return w;
 }
 
-RunStats run_once(const std::string& name, std::int32_t n) {
-  return run_once(name, n, /*shards=*/1, /*threads=*/1, /*max_steps=*/0);
+/// True when `v` is a whole number in [lo, INT32_MAX].
+bool whole_int32_at_least(const json::Value& v, int lo) {
+  return v.is_number() && v.number >= lo &&
+         v.number <= std::numeric_limits<std::int32_t>::max() &&
+         v.number == static_cast<double>(static_cast<std::int64_t>(v.number));
 }
+
+/// Reads, parses and schema-checks the record at `path`; prints the first
+/// problem found and returns nullopt on any.
+std::optional<json::Value> checked_record(const std::string& path) {
+  auto complain = [&](const std::string& msg) {
+    std::fprintf(stderr, "validate: %s: %s\n", path.c_str(), msg.c_str());
+    return std::nullopt;
+  };
+  std::ifstream in(path);
+  if (!in.good()) return complain("cannot read");
+  std::ostringstream buf;
+  buf << in.rdbuf();
+
+  std::string parse_error;
+  std::optional<json::Value> doc = json::parse(buf.str(), &parse_error);
+  if (!doc) return complain(parse_error);
+  if (!doc->is_object()) return complain("top level is not an object");
+
+  const json::Value* schema = doc->find("schema");
+  if (schema == nullptr || !schema->is_string() || schema->string != kSchema)
+    return complain("missing or wrong \"schema\"");
+  const json::Value* qc = doc->find("queue_capacity");
+  if (qc == nullptr || !qc->is_number() || qc->number < 1)
+    return complain("missing or non-positive \"queue_capacity\"");
+  const json::Value* results = doc->find("results");
+  if (results == nullptr || !results->is_array())
+    return complain("missing \"results\" array");
+
+  int count = 0;
+  for (const json::Value& entry : results->array) {
+    if (!entry.is_object())
+      return complain("results[" + std::to_string(count) +
+                      "] is not an object");
+    const json::Value* router = entry.find("router");
+    if (router == nullptr || !router->is_string() || router->string.empty())
+      return complain("results entry: missing \"router\" string");
+    const std::string row = "results entry \"" + router->string + "\": ";
+    for (const char* key : {"n", "steps", "seconds", "moves_per_sec"}) {
+      const json::Value* v = entry.find(key);
+      if (v == nullptr || !v->is_number() || v->number <= 0)
+        return complain(row + "missing or non-positive \"" + key + "\"");
+    }
+    for (const char* key : {"moves", "delivered", "packets"}) {
+      const json::Value* v = entry.find(key);
+      if (v == nullptr || !v->is_number() || v->number < 0)
+        return complain(row + "missing or negative \"" + key + "\"");
+    }
+    // The keys the guard turns back into an engine run must be whole
+    // int32 values. The engine-mode keys are optional (older records lack
+    // them).
+    if (!whole_int32_at_least(*entry.find("n"), 1))
+      return complain(row + "\"n\" is not a whole int32");
+    for (const auto& [key, lo] :
+         {std::pair{"shards", 1}, std::pair{"threads", 1},
+          std::pair{"max_steps", 0}}) {
+      const json::Value* v = entry.find(key);
+      if (v != nullptr && !whole_int32_at_least(*v, lo))
+        return complain(row + "\"" + key + "\" is not a whole int32 >= " +
+                        std::to_string(lo));
+    }
+    ++count;
+  }
+  if (count == 0) return complain("results array is empty");
+  return doc;
+}
+
+}  // namespace
 
 RunStats run_once(const std::string& name, std::int32_t n, int shards,
                   int threads, std::int64_t max_steps) {
@@ -87,169 +160,82 @@ bool write_json(const std::string& path, const std::vector<RunStats>& all,
 }
 
 bool validate_json(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.good()) {
-    std::fprintf(stderr, "validate: cannot read %s\n", path.c_str());
-    return false;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-
-  auto complain = [&](const std::string& msg) {
-    std::fprintf(stderr, "validate: %s: %s\n", path.c_str(), msg.c_str());
-    return false;
-  };
-
-  std::string parse_error;
-  const std::optional<json::Value> doc = json::parse(buf.str(), &parse_error);
-  if (!doc) return complain(parse_error);
-  if (!doc->is_object()) return complain("top level is not an object");
-
-  const json::Value* schema = doc->find("schema");
-  if (schema == nullptr || !schema->is_string() || schema->string != kSchema)
-    return complain("missing or wrong \"schema\"");
-  const json::Value* qc = doc->find("queue_capacity");
-  if (qc == nullptr || !qc->is_number() || qc->number < 1)
-    return complain("missing or non-positive \"queue_capacity\"");
-  const json::Value* results = doc->find("results");
-  if (results == nullptr || !results->is_array())
-    return complain("missing \"results\" array");
-
-  int count = 0;
-  for (const json::Value& entry : results->array) {
-    if (!entry.is_object())
-      return complain("results[" + std::to_string(count) +
-                      "] is not an object");
-    const json::Value* router = entry.find("router");
-    if (router == nullptr || !router->is_string() || router->string.empty())
-      return complain("results entry: missing \"router\" string");
-    for (const char* key : {"n", "steps", "seconds", "moves_per_sec"}) {
-      const json::Value* v = entry.find(key);
-      if (v == nullptr || !v->is_number() || v->number <= 0)
-        return complain("results entry \"" + router->string +
-                        "\": missing or non-positive \"" + key + "\"");
-    }
-    for (const char* key : {"moves", "delivered", "packets"}) {
-      const json::Value* v = entry.find(key);
-      if (v == nullptr || !v->is_number() || v->number < 0)
-        return complain("results entry \"" + router->string +
-                        "\": missing or negative \"" + key + "\"");
-    }
-    // Engine-mode keys are optional (older records lack them) but must be
-    // positive when present.
-    for (const char* key : {"shards", "threads"}) {
-      const json::Value* v = entry.find(key);
-      if (v != nullptr && (!v->is_number() || v->number < 1))
-        return complain("results entry \"" + router->string +
-                        "\": non-positive \"" + key + "\"");
-    }
-    ++count;
-  }
-  if (count == 0) return complain("results array is empty");
-  std::printf("validate: %s ok (%d results)\n", path.c_str(), count);
+  const std::optional<json::Value> doc = checked_record(path);
+  if (!doc) return false;
+  std::printf("validate: %s ok (%zu results)\n", path.c_str(),
+              doc->find("results")->array.size());
   return true;
 }
 
 int throughput_guard(const std::string& baseline_path) {
-  std::ifstream in(baseline_path);
-  if (!in.good()) {
-    std::fprintf(stderr, "guard: cannot read %s\n", baseline_path.c_str());
-    return 1;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  std::string parse_error;
-  const std::optional<json::Value> doc = json::parse(buf.str(), &parse_error);
-  if (!doc || !doc->is_object()) {
-    std::fprintf(stderr, "guard: %s: malformed JSON: %s\n",
-                 baseline_path.c_str(), parse_error.c_str());
-    return 1;
-  }
-  const json::Value* results = doc->find("results");
-  if (results == nullptr || !results->is_array() || results->array.empty()) {
-    std::fprintf(stderr, "guard: %s: missing \"results\"\n",
-                 baseline_path.c_str());
-    return 1;
-  }
-
-  double tol = 0.25;
-  if (const char* env = std::getenv("MESHROUTE_GUARD_TOL")) {
-    const double v = std::atof(env);
-    if (v > 0 && v < 1) tol = v;
-  }
+  // Validation comes first: every row is then well-formed, so no row is
+  // skipped and no engine runs on a malformed one.
+  const std::optional<json::Value> doc = checked_record(baseline_path);
+  if (!doc) return 1;
 
   bool ok = true;
   int compared = 0;
-  for (const json::Value& entry : results->array) {
-    const json::Value* router = entry.find("router");
-    const json::Value* n = entry.find("n");
-    const json::Value* rate = entry.find("moves_per_sec");
-    if (router == nullptr || !router->is_string() || n == nullptr ||
-        !n->is_number() || rate == nullptr || !rate->is_number() ||
-        rate->number <= 0)
-      continue;
+  for (const json::Value& entry : doc->find("results")->array) {
+    const std::string& router = entry.find("router")->string;
+    const auto n = static_cast<std::int32_t>(entry.find("n")->number);
+    const double rate = entry.find("moves_per_sec")->number;
     // Reproduce the row's engine mode so the comparison is like-for-like.
-    const json::Value* shards_v = entry.find("shards");
-    const json::Value* threads_v = entry.find("threads");
-    const json::Value* max_steps_v = entry.find("max_steps");
-    const int shards =
-        shards_v != nullptr && shards_v->is_number()
-            ? static_cast<int>(shards_v->number) : 1;
-    const int threads =
-        threads_v != nullptr && threads_v->is_number()
-            ? static_cast<int>(threads_v->number) : 1;
-    const std::int64_t max_steps =
-        max_steps_v != nullptr && max_steps_v->is_number()
-            ? static_cast<std::int64_t>(max_steps_v->number) : 0;
+    const auto int_or = [&](const char* key, int fallback) {
+      const json::Value* v = entry.find(key);
+      return v != nullptr ? static_cast<int>(v->number) : fallback;
+    };
+    const int shards = int_or("shards", 1);
+    const int threads = int_or("threads", 1);
+    const std::int64_t max_steps = int_or("max_steps", 0);
     // Best of 3: guards against a one-off scheduling hiccup being read as
     // a regression.
     RunStats best;
     for (int rep = 0; rep < 3; ++rep) {
-      RunStats r = run_once(router->string,
-                            static_cast<std::int32_t>(n->number), shards,
-                            threads, max_steps);
+      RunStats r = run_once(router, n, shards, threads, max_steps);
       if (rep == 0 || r.moves_per_sec > best.moves_per_sec) best = r;
     }
-    const double floor = rate->number * (1.0 - tol);
+    const double floor = rate * (1.0 - kGuardTolerance);
     const bool pass = best.moves_per_sec >= floor;
     std::printf("guard: %-24s n=%-4d %8.2f Kmoves/s vs baseline %8.2f (floor "
                 "%8.2f) %s\n",
                 best.router.c_str(), best.n, best.moves_per_sec / 1e3,
-                rate->number / 1e3, floor / 1e3, pass ? "ok" : "REGRESSED");
+                rate / 1e3, floor / 1e3, pass ? "ok" : "REGRESSED");
     ok = ok && pass;
     ++compared;
   }
-  if (compared == 0) {
-    std::fprintf(stderr, "guard: %s: no comparable results\n",
-                 baseline_path.c_str());
-    return 1;
-  }
   std::printf("guard: %d results vs %s, tolerance %.0f%%: %s\n", compared,
-              baseline_path.c_str(), tol * 100, ok ? "ok" : "FAIL");
+              baseline_path.c_str(), kGuardTolerance * 100,
+              ok ? "ok" : "FAIL");
   return ok ? 0 : 1;
 }
 
-int json_sweep(const std::string& path, bool smoke) {
+int sweep_reps(bool smoke) { return smoke ? 1 : 3; }
+
+std::vector<RunStats> router_sweep(bool smoke) {
   const std::vector<std::int32_t> sizes =
       smoke ? std::vector<std::int32_t>{8}
             : std::vector<std::int32_t>{32, 64, 120};
-  const int reps = smoke ? 1 : 3;
-  std::vector<RunStats> all;
+  std::vector<RunStats> rows;
   for (const std::string& name : algorithm_names()) {
     for (std::int32_t n : sizes) {
       RunStats best;
-      for (int rep = 0; rep < reps; ++rep) {
+      for (int rep = 0; rep < sweep_reps(smoke); ++rep) {
         RunStats r = run_once(name, n);
         if (rep == 0 || r.moves_per_sec > best.moves_per_sec) best = r;
       }
-      std::printf("%-24s n=%-4d steps=%-6lld moves=%-9lld %8.2f Kmoves/s%s\n",
-                  best.router.c_str(), best.n,
-                  static_cast<long long>(best.steps),
-                  static_cast<long long>(best.moves),
-                  best.moves_per_sec / 1e3, best.stalled ? " STALLED" : "");
-      all.push_back(best);
+      rows.push_back(best);
     }
   }
+  return rows;
+}
+
+int json_sweep(const std::string& path, bool smoke) {
+  std::vector<RunStats> all = router_sweep(smoke);
+  for (const RunStats& r : all)
+    std::printf("%-24s n=%-4d steps=%-6lld moves=%-9lld %8.2f Kmoves/s%s\n",
+                r.router.c_str(), r.n, static_cast<long long>(r.steps),
+                static_cast<long long>(r.moves), r.moves_per_sec / 1e3,
+                r.stalled ? " STALLED" : "");
   if (!smoke) {
     // Scaled sharded rows: a 1024×1024 bounded-dimension-order run,
     // step-budgeted (draining a million-packet permutation would dominate

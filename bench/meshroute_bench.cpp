@@ -48,12 +48,19 @@
 //                                          to every scenario run (forces
 //                                          the sequential engine)
 //   meshroute_bench --validate=PATH        only validate an existing JSON
-//                                          record (scenario .json or
-//                                          telemetry .jsonl)
+//                                          record (telemetry .jsonl, or a
+//                                          scenario / engine record picked
+//                                          by its "schema" field)
+//   meshroute_bench --engine-record=PATH   only run the engine router sweep
+//                                          (the E13 table's, plus scaled
+//                                          sharded rows) and write PATH
+//                                          (schema meshroute-bench-engine/1,
+//                                          validated after writing); with
+//                                          --smoke, the tiny sweep
 //   meshroute_bench --throughput-guard=P   only re-run the engine sweep and
 //                                          fail if moves/s regresses >25%
 //                                          against the BENCH_engine.json at
-//                                          P (tolerance: MESHROUTE_GUARD_TOL)
+//                                          P
 //   meshroute_bench --fuzz=N               run N differential-fuzz cases
 //                                          (optimized engine vs naive
 //                                          reference, invariant oracles on);
@@ -72,10 +79,13 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "check/fuzz.hpp"
+#include "core/json_min.hpp"
 #include "engine_bench.hpp"
 #include "harness/scenario.hpp"
 #include "routing/registry.hpp"
@@ -93,7 +103,8 @@ int usage(const char* argv0) {
                "[--seed=S] [--engine-shards=S] [--engine-threads=T] "
                "[--topology=NAME] [--faults=SPEC] [--adversary] "
                "[--resume=DIR] [--checkpoint-every=N] "
-               "[--validate=PATH] [--throughput-guard=PATH] "
+               "[--validate=PATH] [--engine-record=PATH] "
+               "[--throughput-guard=PATH] "
                "[--fuzz=N] [--fuzz-seed=S] [--fuzz-case=SPEC]\n",
                argv0);
   return 2;
@@ -102,6 +113,35 @@ int usage(const char* argv0) {
 bool ends_with(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() &&
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+}
+
+/// The "schema" string of the JSON document at `path`; empty when the file
+/// is unreadable or malformed (its validator then reports why).
+std::string schema_of(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  const std::optional<mr::json::Value> doc =
+      mr::json::parse(text.str(), nullptr);
+  const mr::json::Value* schema = doc ? doc->find("schema") : nullptr;
+  return schema != nullptr && schema->is_string() ? schema->string : "";
+}
+
+/// --validate: a telemetry .jsonl stream, an engine benchmark record or a
+/// scenario record. Returns a process exit code.
+int validate(const std::string& path) {
+  const bool telemetry = ends_with(path, ".jsonl");
+  if (!telemetry && schema_of(path) == mr::engine_bench::kSchema)
+    return mr::engine_bench::validate_json(path) ? 0 : 1;
+  std::string error;
+  const bool ok = telemetry ? mr::validate_telemetry_jsonl(path, &error)
+                            : mr::validate_scenario_json(path, &error);
+  if (!ok) {
+    std::fprintf(stderr, "validate: %s: %s\n", path.c_str(), error.c_str());
+    return 1;
+  }
+  std::printf("validate: %s ok\n", path.c_str());
+  return 0;
 }
 
 }  // namespace
@@ -115,6 +155,7 @@ int main(int argc, char** argv) {
   std::string fuzz_case_spec;
   std::vector<std::string> selection;
   std::string json_dir;
+  std::string engine_record;
   ScenarioOptions options;
   options.scale = scale_from_env();
 
@@ -184,22 +225,18 @@ int main(int argc, char** argv) {
     } else if (arg == "--adversary") {
       options.adversary = true;
     } else if (arg.rfind("--validate=", 0) == 0) {
-      const std::string path = arg.substr(11);
-      std::string error;
-      const bool ok = ends_with(path, ".jsonl")
-                          ? validate_telemetry_jsonl(path, &error)
-                          : validate_scenario_json(path, &error);
-      if (!ok) {
-        std::fprintf(stderr, "validate: %s: %s\n", path.c_str(),
-                     error.c_str());
-        return 1;
-      }
-      std::printf("validate: %s ok\n", path.c_str());
-      return 0;
+      return validate(arg.substr(11));
+    } else if (arg.rfind("--engine-record=", 0) == 0) {
+      engine_record = arg.substr(16);
+      if (engine_record.empty()) return usage(argv[0]);
     } else {
       return usage(argv[0]);
     }
   }
+
+  if (!engine_record.empty())
+    return engine_bench::json_sweep(engine_record,
+                                    options.scale == Scale::Small);
 
   if (!fuzz_case_spec.empty()) {
     FuzzCase fuzz_case;

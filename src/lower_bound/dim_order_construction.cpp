@@ -96,7 +96,7 @@ class DimOrderInterceptor : public StepInterceptor {
 ///    class occupies the N_i-column inside the sender band,
 ///  * escape discipline — at most one class-i packet leaves the i-box per
 ///    step, never before its window opens.
-class DimOrderChecker : public Observer {
+class DimOrderChecker : public StepObserver {
  public:
   DimOrderChecker(const DimOrderConstruction& geo, std::int32_t cn,
                   std::int32_t dn, std::int64_t classes,
@@ -105,28 +105,10 @@ class DimOrderChecker : public Observer {
         class_count_(class_count),
         escapes_(static_cast<std::size_t>(classes) + 1, 0) {}
 
-  void on_move(const Sim& e, const Packet& pk, NodeId from,
-               NodeId to) override {
-    if (static_cast<std::size_t>(pk.id) >= class_count_) return;
-    const std::int64_t i = geo_.classify(e.mesh().coord_of(pk.source),
-                                         e.mesh().coord_of(pk.dest));
-    if (i == 0) return;
-    const Coord f = e.mesh().coord_of(from);
-    const Coord t = e.mesh().coord_of(to);
-    const bool left_box = (f.col <= geo_.line(i) && f.row < cn_) &&
-                          !(t.col <= geo_.line(i) && t.row < cn_);
-    if (!left_box) return;
-    const Step step = e.step();
-    MR_REQUIRE_MSG(step > (i - 1) * dn_,
-                   "dim-order Lemma 1 analogue violated for class " << i);
-    if (step <= i * dn_) {
-      MR_REQUIRE_MSG(++escapes_[i] <= 1,
-                     "dim-order Lemma 2 analogue violated for class " << i);
-    }
-  }
+  void on_step(const Sim& e, const StepDigest& d) override {
+    const Step t = d.step;
+    for (const MoveRecord& m : d.moves) check_escape(e, m, t);
 
-  void on_step_end(const Sim& e) override {
-    const Step t = e.step();
     const Step w = (t - 1) / dn_;
     for (std::size_t id = 0; id < class_count_; ++id) {
       const Packet& pk = e.packet(static_cast<PacketId>(id));
@@ -155,6 +137,25 @@ class DimOrderChecker : public Observer {
   }
 
  private:
+  void check_escape(const Sim& e, const MoveRecord& m, Step step) {
+    if (static_cast<std::size_t>(m.packet) >= class_count_) return;
+    const Packet& pk = e.packet(m.packet);
+    const std::int64_t i = geo_.classify(e.mesh().coord_of(pk.source),
+                                         e.mesh().coord_of(pk.dest));
+    if (i == 0) return;
+    const Coord f = e.mesh().coord_of(m.from);
+    const Coord t = e.mesh().coord_of(m.to);
+    const bool left_box = (f.col <= geo_.line(i) && f.row < cn_) &&
+                          !(t.col <= geo_.line(i) && t.row < cn_);
+    if (!left_box) return;
+    MR_REQUIRE_MSG(step > (i - 1) * dn_,
+                   "dim-order Lemma 1 analogue violated for class " << i);
+    if (step <= i * dn_) {
+      MR_REQUIRE_MSG(++escapes_[i] <= 1,
+                     "dim-order Lemma 2 analogue violated for class " << i);
+    }
+  }
+
   const DimOrderConstruction& geo_;
   std::int32_t cn_;
   std::int32_t dn_;

@@ -98,29 +98,31 @@ class FarthestFirstInterceptor : public StepInterceptor {
 /// lasts), class-i packets may leave the i-box (west of and including
 /// column n−i, below row cn) only through the top of their own column, at
 /// most one per step.
-class FarthestFirstChecker : public Observer {
+class FarthestFirstChecker : public StepObserver {
  public:
   FarthestFirstChecker(const FarthestFirstConstruction& geo, std::int32_t cn,
                        std::int32_t dn, std::size_t class_count)
       : geo_(geo), cn_(cn), dn_(dn), class_count_(class_count) {}
 
-  void on_move(const Sim& e, const Packet& pk, NodeId from,
-               NodeId to) override {
-    if (static_cast<std::size_t>(pk.id) >= class_count_) return;
-    const std::int64_t i = geo_.classify(e.mesh().coord_of(pk.source),
-                                         e.mesh().coord_of(pk.dest));
-    if (i == 0) return;
-    const Coord f = e.mesh().coord_of(from);
-    const Coord t = e.mesh().coord_of(to);
-    const bool in_box_f = f.col <= geo_.line(i) && f.row < cn_;
-    const bool in_box_t = t.col <= geo_.line(i) && t.row < cn_;
-    if (!in_box_f || in_box_t) return;
-    // The only exit is northward out of the own column (dimension-order
-    // paths never cross the N_i-column eastward for an N_i-packet).
-    MR_REQUIRE_MSG(f.col == geo_.line(i) && t.row == cn_,
-                   "farthest-first construction: class "
-                       << i << " left its box sideways at step " << e.step());
-    if (e.step() <= (i - 1) * dn_) ++early_escapes_;
+  void on_step(const Sim& e, const StepDigest& d) override {
+    for (const MoveRecord& m : d.moves) {
+      if (static_cast<std::size_t>(m.packet) >= class_count_) continue;
+      const Packet& pk = e.packet(m.packet);
+      const std::int64_t i = geo_.classify(e.mesh().coord_of(pk.source),
+                                           e.mesh().coord_of(pk.dest));
+      if (i == 0) continue;
+      const Coord f = e.mesh().coord_of(m.from);
+      const Coord t = e.mesh().coord_of(m.to);
+      const bool in_box_f = f.col <= geo_.line(i) && f.row < cn_;
+      const bool in_box_t = t.col <= geo_.line(i) && t.row < cn_;
+      if (!in_box_f || in_box_t) continue;
+      // The only exit is northward out of the own column (dimension-order
+      // paths never cross the N_i-column eastward for an N_i-packet).
+      MR_REQUIRE_MSG(f.col == geo_.line(i) && t.row == cn_,
+                     "farthest-first construction: class "
+                         << i << " left its box sideways at step " << d.step);
+      if (d.step <= (i - 1) * dn_) ++early_escapes_;
+    }
   }
 
   /// Escapes that happened while some exchange rule still covered the

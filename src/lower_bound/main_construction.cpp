@@ -294,7 +294,7 @@ Workload MainConstruction::placement() const {
 }
 
 MainConstruction::RunResult MainConstruction::run_construction(
-    const std::string& algorithm, int k, Observer* extra_observer) {
+    const std::string& algorithm, int k, StepObserver* extra_observer) {
   auto algo = make_algorithm(algorithm);
   MR_REQUIRE_MSG(algo->minimal(), "construction applies to minimal routers");
   // The counting argument (Lemmas 3/4) uses the total per-node buffer

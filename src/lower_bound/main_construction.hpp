@@ -80,7 +80,7 @@ class MainConstruction {
   /// Runs the construction against the named algorithm with queue size k.
   /// extra_observer (optional) is attached to the engine for the whole run.
   RunResult run_construction(const std::string& algorithm, int k,
-                             Observer* extra_observer = nullptr);
+                             StepObserver* extra_observer = nullptr);
 
   struct ReplayResult {
     RunResult construction;

@@ -1,5 +1,6 @@
 #include "service/job.hpp"
 
+#include <cmath>
 #include <limits>
 #include <memory>
 
@@ -10,11 +11,14 @@
 namespace mr {
 namespace {
 
-bool get_int(const json::Value& obj, const char* key, std::int64_t* out) {
-  const json::Value* v = obj.find(key);
-  if (!v) return false;
-  if (!v->is_number()) return false;
-  *out = static_cast<std::int64_t>(v->number);
+/// True when `v` is a whole number in int64 range; stores it in *out.
+bool whole_int64(const json::Value& v, std::int64_t* out) {
+  // [-2^63, 2^63): both bounds are exact doubles, so the cast below is
+  // defined for every number that passes.
+  if (!v.is_number() || !(v.number >= -0x1p63 && v.number < 0x1p63) ||
+      std::trunc(v.number) != v.number)
+    return false;
+  *out = static_cast<std::int64_t>(v.number);
   return true;
 }
 
@@ -33,6 +37,21 @@ bool parse_job_spec(const json::Value& job, JobSpec* out, std::string* error) {
   };
   if (!job.is_object()) return fail("not an object");
 
+  // Integer keys are optional; a present one must be a whole number in
+  // int64 range. The first malformed key is remembered in `bad` and fails
+  // the spec (reading it as absent would silently apply the default).
+  std::string bad;
+  const auto get_int = [&bad](const json::Value& obj, const char* key,
+                              std::int64_t* value) {
+    const json::Value* v = obj.find(key);
+    if (!v) return false;
+    if (whole_int64(*v, value)) return true;
+    if (bad.empty())
+      bad = std::string("\"") + key +
+            "\" must be a whole number in int64 range";
+    return false;
+  };
+
   JobSpec spec;
   const json::Value* algorithm = job.find("algorithm");
   if (!algorithm || !algorithm->is_string() || algorithm->string.empty())
@@ -42,7 +61,8 @@ bool parse_job_spec(const json::Value& job, JobSpec* out, std::string* error) {
   std::int64_t width = 0, height = 0;
   if (!get_int(job, "width", &width) || !get_int(job, "height", &height) ||
       width < 1 || height < 1)
-    return fail("missing or non-positive \"width\"/\"height\"");
+    return fail(bad.empty() ? "missing or non-positive \"width\"/\"height\""
+                            : bad);
   if (!fits_int32(width) || !fits_int32(height))
     return fail("\"width\"/\"height\" out of int32 range");
   spec.run.width = static_cast<std::int32_t>(width);
@@ -106,7 +126,7 @@ bool parse_job_spec(const json::Value& job, JobSpec* out, std::string* error) {
     if (get_int(*traffic, "seed", &v))
       spec.traffic.seed = static_cast<std::uint64_t>(v);
     if (!get_int(*traffic, "steps", &v) || v < 1)
-      return fail("\"traffic.steps\" must be >= 1");
+      return fail(bad.empty() ? "\"traffic.steps\" must be >= 1" : bad);
     spec.run.traffic_steps = v;
   }
 
@@ -125,6 +145,7 @@ bool parse_job_spec(const json::Value& job, JobSpec* out, std::string* error) {
     }
   }
 
+  if (!bad.empty()) return fail(bad);
   *out = std::move(spec);
   return true;
 }

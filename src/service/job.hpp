@@ -1,7 +1,8 @@
 // Job specs for meshrouted: the JSON body of a {"op": "submit"} request,
 // parsed into the harness RunSpec the daemon executes.
 //
-// Job JSON schema (all numbers JSON numbers, all optional unless noted):
+// Job JSON schema (all optional unless noted; every key but "rate" is an
+// integer: a whole JSON number in int64 range, anything else is an error):
 //   {
 //     "algorithm": "...",        required — routing registry name
 //     "width": W, "height": H,   required — router grid

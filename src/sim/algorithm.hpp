@@ -165,37 +165,4 @@ class StepObserver {
   virtual void on_step(const Sim&, const StepDigest&) = 0;
 };
 
-/// Legacy per-event observation hook, retained as a thin adapter over the
-/// digest callback (see LegacyObserverAdapter): per step the adapter
-/// replays injected deliveries, then each move (with on_deliver after the
-/// delivering hop), then on_step_end — the exact event order the engine
-/// used to emit inline. Prefer StepObserver for new code.
-class Observer {
- public:
-  virtual ~Observer() = default;
-  /// Called once at the end of prepare(): the initial configuration is
-  /// final and source==dest packets have already been delivered (step 0).
-  virtual void on_prepare_end(const Sim&) {}
-  virtual void on_step_end(const Sim&) {}
-  virtual void on_deliver(const Sim&, const Packet&) {}
-  virtual void on_move(const Sim&, const Packet&, NodeId from, NodeId to) {
-    (void)from;
-    (void)to;
-  }
-};
-
-/// Replays a StepDigest as the legacy per-event callback sequence.
-/// Sim::add_observer(Observer*) wraps each legacy observer in one of
-/// these; the replayed event order is bit-identical to the order the
-/// pre-digest engine emitted inline.
-class LegacyObserverAdapter final : public StepObserver {
- public:
-  explicit LegacyObserverAdapter(Observer* legacy) : legacy_(legacy) {}
-  void on_prepare(const Sim& e, const StepDigest& d) override;
-  void on_step(const Sim& e, const StepDigest& d) override;
-
- private:
-  Observer* legacy_;
-};
-
 }  // namespace mr

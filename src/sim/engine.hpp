@@ -35,9 +35,8 @@
 // Observation is digest-based: the engine batches each step's moves,
 // deliveries and counters into one StepDigest and dispatches a single
 // on_step callback per observer per step — no virtual calls on the
-// per-move hot path. Legacy per-event Observers attach through
-// LegacyObserverAdapter with bit-identical event order. Optional phase
-// profiling (set_phase_profiling) accumulates wall-clock per §3 phase.
+// per-move hot path. Optional phase profiling (set_phase_profiling)
+// accumulates wall-clock per §3 phase.
 #pragma once
 
 #include <array>
@@ -180,7 +179,7 @@ class Engine : public Sim {
 
   /// Finalises the initial configuration: injects step-0 packets, delivers
   /// source==dest packets, calls Algorithm::init, then notifies observers
-  /// via on_prepare_end. Must be called exactly once before stepping.
+  /// via on_prepare. Must be called exactly once before stepping.
   void prepare();
 
   // --- execution --------------------------------------------------------
@@ -213,7 +212,7 @@ class Engine : public Sim {
 
   // --- Sim interface -----------------------------------------------------
   /// Nodes currently holding at least one packet, ascending by NodeId.
-  /// Valid between steps, inside on_prepare_end / on_step_end and inside
+  /// Valid between steps, inside on_prepare / on_step and inside
   /// a StepInterceptor. With one band this is the band's own list; with
   /// more, the global list is rebuilt lazily by concatenating the per-band
   /// lists (bands own contiguous ascending NodeId ranges, so the

@@ -2,15 +2,26 @@
 
 #include <cmath>
 
-#include "sim/engine.hpp"
+#include "sim/sim.hpp"
 
 namespace mr {
 
-void MetricsObserver::on_prepare_end(const Sim& e) {
-  (void)e;
+void MetricsObserver::on_prepare(const Sim& e, const StepDigest& d) {
   // Entry for step 0: deliveries that happened during prepare()
   // (source==dest packets) belong to the curve, not to step 1.
+  count_deliveries(e, d);
   delivered_by_step_.push_back(delivered_so_far_);
+}
+
+void MetricsObserver::count_deliveries(const Sim& e, const StepDigest& d) {
+  const auto add = [&](PacketId p) {
+    const Packet& pk = e.packet(p);
+    latency_.add(pk.delivered_at - pk.injected_at);
+    ++delivered_so_far_;
+  };
+  for (PacketId p : d.injected_deliveries) add(p);
+  for (const MoveRecord& m : d.moves)
+    if (m.delivered) add(m.packet);
 }
 
 void MetricsObserver::sample_occupancy(const Sim& e) {
@@ -32,15 +43,10 @@ void MetricsObserver::sample_occupancy(const Sim& e) {
   }
 }
 
-void MetricsObserver::on_step_end(const Sim& e) {
+void MetricsObserver::on_step(const Sim& e, const StepDigest& d) {
+  count_deliveries(e, d);
   delivered_by_step_.push_back(delivered_so_far_);
-  if (sample_every_ > 0 && e.step() % sample_every_ == 0) sample_occupancy(e);
-}
-
-void MetricsObserver::on_deliver(const Sim& e, const Packet& p) {
-  latency_.add(p.delivered_at - p.injected_at);
-  (void)e;
-  ++delivered_so_far_;
+  if (sample_every_ > 0 && d.step % sample_every_ == 0) sample_occupancy(e);
 }
 
 LatencySummary latency_summary_from_packets(const std::vector<Packet>& packets) {

@@ -27,7 +27,7 @@ struct LatencySummary {
 /// exactly.
 LatencySummary latency_summary_from_packets(const std::vector<Packet>& packets);
 
-class MetricsObserver : public Observer {
+class MetricsObserver : public StepObserver {
  public:
   /// sample_every: occupancy distribution is sampled on every N-th step
   /// (it is O(active nodes) to collect). Under the PerInlink layout each
@@ -35,9 +35,8 @@ class MetricsObserver : public Observer {
   explicit MetricsObserver(Step sample_every = 16)
       : sample_every_(sample_every) {}
 
-  void on_prepare_end(const Sim& e) override;
-  void on_step_end(const Sim& e) override;
-  void on_deliver(const Sim& e, const Packet& p) override;
+  void on_prepare(const Sim& e, const StepDigest& d) override;
+  void on_step(const Sim& e, const StepDigest& d) override;
 
   const Histogram& latency() const { return latency_; }
   LatencySummary latency_summary() const;
@@ -52,6 +51,8 @@ class MetricsObserver : public Observer {
   Step completion_step(double fraction, std::size_t total) const;
 
  private:
+  /// Counts every delivery in `d` and adds its latency to the histogram.
+  void count_deliveries(const Sim& e, const StepDigest& d);
   void sample_occupancy(const Sim& e);
 
   Step sample_every_;

@@ -1,7 +1,5 @@
 #include "sim/sim.hpp"
 
-#include "sim/algorithm.hpp"
-
 namespace mr {
 
 namespace {
@@ -44,12 +42,6 @@ Sim::~Sim() = default;
 void Sim::add_observer(StepObserver* observer) {
   MR_REQUIRE(observer != nullptr);
   observers_.push_back(observer);
-}
-
-void Sim::add_observer(Observer* observer) {
-  MR_REQUIRE(observer != nullptr);
-  adapters_.push_back(std::make_unique<LegacyObserverAdapter>(observer));
-  observers_.push_back(adapters_.back().get());
 }
 
 PacketId Sim::register_packet(NodeId source, NodeId dest, Step injected_at) {
@@ -141,21 +133,6 @@ std::uint64_t Sim::fingerprint(bool include_dest) const {
     }
   }
   return f.h;
-}
-
-void LegacyObserverAdapter::on_prepare(const Sim& e, const StepDigest& d) {
-  for (PacketId p : d.injected_deliveries) legacy_->on_deliver(e, e.packet(p));
-  legacy_->on_prepare_end(e);
-}
-
-void LegacyObserverAdapter::on_step(const Sim& e, const StepDigest& d) {
-  for (PacketId p : d.injected_deliveries) legacy_->on_deliver(e, e.packet(p));
-  for (const MoveRecord& m : d.moves) {
-    const Packet& pk = e.packet(m.packet);
-    legacy_->on_move(e, pk, m.from, m.to);
-    if (m.delivered) legacy_->on_deliver(e, pk);
-  }
-  legacy_->on_step_end(e);
 }
 
 }  // namespace mr

@@ -4,26 +4,28 @@
 #include <map>
 #include <ostream>
 
-#include "sim/engine.hpp"
+#include "sim/sim.hpp"
 
 namespace mr {
 
-void TraceRecorder::on_move(const Sim& e, const Packet& p, NodeId from,
-                            NodeId to) {
-  if (max_events_ > 0 && events_.size() >= max_events_) {
-    truncated_ = true;
-    return;
+void TraceRecorder::record(const Sim& e, const StepDigest& d) {
+  const auto deliver = [&](PacketId p) {
+    const NodeId dest = e.packet(p).dest;
+    push(TraceEvent{TraceEventKind::Deliver, d.step, p, dest, dest});
+  };
+  for (PacketId p : d.injected_deliveries) deliver(p);
+  for (const MoveRecord& m : d.moves) {
+    push(TraceEvent{TraceEventKind::Move, d.step, m.packet, m.from, m.to});
+    if (m.delivered) deliver(m.packet);
   }
-  events_.push_back(TraceEvent{TraceEventKind::Move, e.step(), p.id, from, to});
 }
 
-void TraceRecorder::on_deliver(const Sim& e, const Packet& p) {
+void TraceRecorder::push(const TraceEvent& ev) {
   if (max_events_ > 0 && events_.size() >= max_events_) {
     truncated_ = true;
     return;
   }
-  events_.push_back(
-      TraceEvent{TraceEventKind::Deliver, e.step(), p.id, p.dest, p.dest});
+  events_.push_back(ev);
 }
 
 std::vector<TraceEvent> TraceRecorder::packet_history(PacketId p) const {

@@ -1,7 +1,7 @@
 // Event trace recorder: captures every move, delivery and injection of a
 // run as a flat event list that can be replayed against invariants,
 // diffed between runs, or dumped as JSON-lines for external tooling.
-// Purely observational (an Observer); never influences routing.
+// Purely observational (a StepObserver); never influences routing.
 #pragma once
 
 #include <cstdint>
@@ -27,16 +27,18 @@ struct TraceEvent {
   friend bool operator==(const TraceEvent&, const TraceEvent&) = default;
 };
 
-class TraceRecorder : public Observer {
+/// Per step, events are recorded in digest order: injected deliveries,
+/// then each transmission as a Move (followed by a Deliver when the hop
+/// reached the destination).
+class TraceRecorder : public StepObserver {
  public:
   /// max_events bounds memory (0 = unlimited); recording stops silently at
   /// the cap and truncated() reports it.
   explicit TraceRecorder(std::size_t max_events = 0)
       : max_events_(max_events) {}
 
-  void on_move(const Sim& e, const Packet& p, NodeId from,
-               NodeId to) override;
-  void on_deliver(const Sim& e, const Packet& p) override;
+  void on_prepare(const Sim& e, const StepDigest& d) override { record(e, d); }
+  void on_step(const Sim& e, const StepDigest& d) override { record(e, d); }
 
   const std::vector<TraceEvent>& events() const { return events_; }
   bool truncated() const { return truncated_; }
@@ -60,6 +62,9 @@ class TraceRecorder : public Observer {
   bool link_capacity_respected() const;
 
  private:
+  void record(const Sim& e, const StepDigest& d);
+  void push(const TraceEvent& ev);
+
   std::size_t max_events_;
   bool truncated_ = false;
   std::vector<TraceEvent> events_;

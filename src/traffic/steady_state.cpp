@@ -139,7 +139,7 @@ SteadyStateResult run_steady_state(const SteadyStateSpec& spec,
   SteadyStateResult r;
   PhaseAccountant accountant(warmup_end, inject_end, r.warmup, r.measure,
                              r.drain);
-  engine.add_observer(static_cast<StepObserver*>(&accountant));
+  engine.add_observer(&accountant);
 
   TrafficPump pump(engine, source, inject_end, spec.pump_ahead);
 

@@ -47,13 +47,13 @@ TEST(Engine, DimensionOrderPathIsRowFirst) {
   e.prepare();
 
   // Track the trajectory via an observer.
-  struct Tracker : Observer {
+  struct Tracker : StepObserver {
     std::vector<NodeId> path;
-    void on_move(const Sim&, const Packet&, NodeId, NodeId to) override {
-      path.push_back(to);
+    void on_step(const Sim&, const StepDigest& d) override {
+      for (const MoveRecord& m : d.moves) path.push_back(m.to);
     }
   };
-  // Observer must be added before prepare, so rebuild.
+  // Observers must be added before prepare, so rebuild.
   Engine e2(m, cfg(2), algo);
   e2.add_packet(m.id_of(1, 1), m.id_of(4, 6));
   Tracker tracker;

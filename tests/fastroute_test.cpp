@@ -5,6 +5,7 @@
 // completed run certifies them.
 #include <gtest/gtest.h>
 
+#include "check/oracles.hpp"
 #include "fastroute/bounds.hpp"
 #include "fastroute/fastroute.hpp"
 #include "fastroute/tiling.hpp"
@@ -33,13 +34,7 @@ FastRunResult run_fastroute(std::int32_t n, const Workload& w,
   Engine e(mesh, config, algo);
   for (const Demand& d : w) e.add_packet(d.source, d.dest, d.injected_at);
 
-  struct MinimalityCheck : Observer {
-    void on_move(const Sim& eng, const Packet& p, NodeId from,
-                 NodeId to) override {
-      ASSERT_EQ(eng.mesh().distance(to, p.dest),
-                eng.mesh().distance(from, p.dest) - 1);
-    }
-  } minimal;
+  ProfitableMoveOracle minimal(/*minimal=*/true);
   e.add_observer(&minimal);
   e.prepare();
 

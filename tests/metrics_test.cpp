@@ -3,6 +3,7 @@
 #include "routing/registry.hpp"
 #include "sim/engine.hpp"
 #include "sim/metrics.hpp"
+#include "sim/trace.hpp"
 #include "topo/mesh.hpp"
 #include "workload/permutation.hpp"
 
@@ -78,22 +79,34 @@ TEST(Metrics, PrepareTimeDeliveriesCountAtStepZero) {
   Engine::Config config;
   config.queue_capacity = 2;
   Engine e(mesh, config, *algo);
-  // Two source==dest packets deliver during prepare(), one travels.
+  // Two source==dest packets deliver during prepare(), one travels, and a
+  // fourth source==dest packet is injected (and so delivered) at step 3.
   e.add_packet(mesh.id_of(1, 1), mesh.id_of(1, 1));
   e.add_packet(mesh.id_of(2, 2), mesh.id_of(2, 2));
   e.add_packet(mesh.id_of(0, 0), mesh.id_of(2, 0));
+  const PacketId late = e.add_packet(mesh.id_of(3, 3), mesh.id_of(3, 3), 3);
   MetricsObserver metrics;
   e.add_observer(&metrics);
+  TraceRecorder trace;
+  e.add_observer(&trace);
   e.prepare();
   e.run(100);
   ASSERT_TRUE(e.all_delivered());
   const auto& curve = metrics.delivered_by_step();
-  ASSERT_GE(curve.size(), 3u);
+  ASSERT_EQ(curve.size(), 4u);
   EXPECT_EQ(curve[0], 2);  // delivered before step 1
-  EXPECT_EQ(curve.back(), 3);
-  // Two thirds of the demand was already met at prepare time.
-  EXPECT_EQ(metrics.completion_step(2.0 / 3.0, 3), 0);
-  EXPECT_EQ(metrics.completion_step(1.0, 3), 2);
+  EXPECT_EQ(curve[2], 3);  // the travelling packet arrives at step 2
+  EXPECT_EQ(curve[3], 4);  // the step-3 injection delivers at once
+  // Half of the demand was already met at prepare time.
+  EXPECT_EQ(metrics.completion_step(0.5, 4), 0);
+  EXPECT_EQ(metrics.completion_step(0.75, 4), 2);
+  EXPECT_EQ(metrics.completion_step(1.0, 4), 3);
+  EXPECT_EQ(metrics.latency().count_at(0), 3);
+
+  std::vector<TraceEvent> late_events = trace.packet_history(late);
+  ASSERT_EQ(late_events.size(), 1u);
+  EXPECT_EQ(late_events[0].kind, TraceEventKind::Deliver);
+  EXPECT_EQ(late_events[0].step, 3);
 }
 
 TEST(Metrics, PerInlinkOccupancySamplesEachQueueSeparately) {

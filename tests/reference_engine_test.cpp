@@ -40,8 +40,8 @@ void expect_lockstep(const Mesh& mesh, const std::string& algorithm, int k,
   ReferenceEngine ref(mesh, k, config.stall_limit, *algo_ref);
 
   DigestHasher hash_opt, hash_ref;
-  opt.add_observer(static_cast<StepObserver*>(&hash_opt));
-  ref.add_observer(static_cast<StepObserver*>(&hash_ref));
+  opt.add_observer(&hash_opt);
+  ref.add_observer(&hash_ref);
 
   for (const Demand& d : demands) {
     opt.add_packet(d.source, d.dest, d.injected_at);

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 
+#include "check/oracles.hpp"
 #include "harness/runner.hpp"
 #include "routing/dimension_order.hpp"
 #include "routing/registry.hpp"
@@ -106,14 +107,7 @@ TEST_P(RoutingSuite, MovesAreAlwaysMinimal) {
       central_queue(algorithm) ? northeast_only(mesh, full) : full;
   for (const Demand& d : w) e.add_packet(d.source, d.dest, d.injected_at);
 
-  struct MinimalityCheck : Observer {
-    void on_move(const Sim& eng, const Packet& p, NodeId from,
-                 NodeId to) override {
-      const NodeId dest = p.dest;
-      EXPECT_EQ(eng.mesh().distance(to, dest),
-                eng.mesh().distance(from, dest) - 1);
-    }
-  } checker;
+  ProfitableMoveOracle checker(/*minimal=*/true);
   e.add_observer(&checker);
   e.prepare();
   e.run(5000);

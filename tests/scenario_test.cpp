@@ -10,6 +10,7 @@
 
 #include "core/assert.hpp"
 #include "core/json_min.hpp"
+#include "engine_bench.hpp"
 #include "harness/scenario.hpp"
 #include "scenarios.hpp"
 #include "topo/mesh.hpp"
@@ -174,6 +175,32 @@ TEST(Scenario, ValidationRejectsCorruptDocuments) {
     out << "## E01: this is markdown";
   }
   EXPECT_FALSE(validate_scenario_json(not_json, &error));
+}
+
+TEST(EngineBench, GuardRejectsMalformedBaselineBeforeRunning) {
+  // A well-formed row precedes the malformed one, so a guard that ran rows
+  // before validating the whole record would print a row result first.
+  const std::string row =
+      "\"steps\": 10, \"moves\": 100, \"seconds\": 0.001, "
+      "\"moves_per_sec\": 100000, \"delivered\": 5, \"packets\": 5";
+  const std::string path = ::testing::TempDir() + "/guard_baseline.json";
+  for (const char* bad : {"\"n\": 1e30", "\"n\": 8, \"threads\": 2.5"}) {
+    {
+      std::ofstream out(path);
+      out << "{\"schema\": \"" << engine_bench::kSchema
+          << "\", \"queue_capacity\": 2, \"results\": [\n"
+          << "{\"router\": \"dimension-order\", \"n\": 8, " << row << "},\n"
+          << "{\"router\": \"dimension-order\", " << bad << ", " << row
+          << "}]}\n";
+    }
+    EXPECT_FALSE(engine_bench::validate_json(path)) << bad;
+    ::testing::internal::CaptureStdout();
+    const int rc = engine_bench::throughput_guard(path);
+    const std::string printed = ::testing::internal::GetCapturedStdout();
+    EXPECT_EQ(rc, 1) << bad;
+    EXPECT_EQ(printed.find("Kmoves/s"), std::string::npos)
+        << bad << ": an engine ran before validation\n" << printed;
+  }
 }
 
 TEST(Scenario, ParallelSweepIsDeterministicAcrossJobCounts) {

@@ -112,6 +112,19 @@ TEST(JobSpec, RejectsMalformedSpecs) {
         << key;
     EXPECT_NE(error.find("int32"), std::string::npos) << error;
   }
+  // A present integer key is a whole number in int64 range or an error:
+  // never an out-of-range cast, a truncation or a silent default.
+  for (const char* extra : {"\"width\": 1e30, \"height\": 4",
+                            "\"width\": 4, \"height\": 4, \"k\": 2.5",
+                            "\"width\": 4, \"height\": 4, \"k\": \"3\""}) {
+    error.clear();
+    EXPECT_FALSE(parse_job_spec(
+        parse_ok(std::string("{\"algorithm\": \"dimension-order\", ") +
+                 extra + "}"),
+        &spec, &error))
+        << extra;
+    EXPECT_NE(error.find("whole number"), std::string::npos) << error;
+  }
   EXPECT_FALSE(error.empty());
 }
 

@@ -1,7 +1,8 @@
-// Telemetry subsystem tests: the LegacyObserverAdapter reproduces the
-// historical per-event callback stream exactly, the TelemetryCollector's
-// stride-doubling series stays bounded and lossless in its sums, and the
-// meshroute-telemetry/1 export round-trips through the json_min validator.
+// Telemetry subsystem tests: the digest observers (TraceRecorder,
+// MetricsObserver) agree with the engine's own counters, the
+// TelemetryCollector's stride-doubling series stays bounded and lossless in
+// its sums, and the meshroute-telemetry/1 export round-trips through the
+// json_min validator.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -22,39 +23,6 @@
 
 namespace mr {
 namespace {
-
-/// Rebuilds the legacy TraceRecorder event stream from step digests: the
-/// adapter contract is injected deliveries first, then each MoveRecord as
-/// on_move (+ on_deliver when it delivered).
-class DigestTraceRebuilder final : public StepObserver {
- public:
-  void on_prepare(const Sim& e, const StepDigest& d) override {
-    append(e, d);
-  }
-  void on_step(const Sim& e, const StepDigest& d) override {
-    append(e, d);
-  }
-  const std::vector<TraceEvent>& events() const { return events_; }
-  std::int64_t non_delivery_moves() const { return non_delivery_moves_; }
-
- private:
-  void append(const Sim& e, const StepDigest& d) {
-    for (PacketId p : d.injected_deliveries)
-      events_.push_back({TraceEventKind::Deliver, d.step, p, e.packet(p).dest,
-                         e.packet(p).dest});
-    for (const MoveRecord& m : d.moves) {
-      events_.push_back({TraceEventKind::Move, d.step, m.packet, m.from, m.to});
-      if (m.delivered)
-        events_.push_back({TraceEventKind::Deliver, d.step, m.packet,
-                           e.packet(m.packet).dest, e.packet(m.packet).dest});
-      else
-        ++non_delivery_moves_;
-    }
-  }
-
-  std::vector<TraceEvent> events_;
-  std::int64_t non_delivery_moves_ = 0;
-};
 
 struct EngineRun {
   Mesh mesh;
@@ -83,34 +51,42 @@ EngineRun make_run(const std::string& router, std::int32_t n, bool torus,
   return run;
 }
 
-TEST(LegacyAdapter, DigestStreamMatchesTraceRecorder) {
+TEST(DigestObservers, TraceRecorderMatchesEngineCounters) {
   for (const std::string& router :
        {std::string("adaptive-alternate"), std::string("stray-2"),
         std::string("bounded-dimension-order")}) {
-    EngineRun legacy = make_run(router, 10, false, 2, 11);
+    EngineRun run = make_run(router, 10, false, 2, 11);
     TraceRecorder trace;
-    legacy.engine->add_observer(&trace);
-    legacy.engine->prepare();
-    legacy.engine->run(300);
+    run.engine->add_observer(&trace);
+    run.engine->prepare();
+    run.engine->run(300);
 
-    EngineRun digest = make_run(router, 10, false, 2, 11);
-    DigestTraceRebuilder rebuilt;
-    digest.engine->add_observer(&rebuilt);
-    digest.engine->prepare();
-    digest.engine->run(300);
-
-    ASSERT_EQ(trace.events().size(), rebuilt.events().size()) << router;
-    for (std::size_t i = 0; i < trace.events().size(); ++i)
-      ASSERT_EQ(trace.events()[i], rebuilt.events()[i])
-          << router << " event " << i;
-    // Non-delivering hops are exactly what the engine's own counter counts.
-    EXPECT_EQ(rebuilt.non_delivery_moves(), digest.engine->total_moves());
+    // A delivering hop is recorded as a Move directly followed by the
+    // packet's Deliver in the same step; every other Move is a hop the
+    // engine's own counter counts.
+    const std::vector<TraceEvent>& events = trace.events();
+    std::int64_t non_delivery_moves = 0;
+    std::size_t deliveries = 0;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      const TraceEvent& ev = events[i];
+      if (ev.kind == TraceEventKind::Deliver) {
+        ++deliveries;
+        continue;
+      }
+      const bool delivering = i + 1 < events.size() &&
+                              events[i + 1].kind == TraceEventKind::Deliver &&
+                              events[i + 1].packet == ev.packet &&
+                              events[i + 1].step == ev.step;
+      if (!delivering) ++non_delivery_moves;
+    }
+    EXPECT_EQ(non_delivery_moves, run.engine->total_moves()) << router;
+    EXPECT_EQ(deliveries, run.engine->delivered_count()) << router;
   }
 }
 
-TEST(LegacyAdapter, MetricsObserverNumbersUnchanged) {
-  // MetricsObserver rides through the adapter; a digest-side recount of
-  // deliveries per step must agree with its delivery curve.
+TEST(DigestObservers, MetricsDeliveryCurveMatchesDigestCounts) {
+  // A recount of the digests' per-step delivery counters must agree with
+  // MetricsObserver's delivery curve.
   EngineRun run = make_run("greedy-match", 12, false, 2, 13, /*monotone=*/true);
   MetricsObserver metrics;
   run.engine->add_observer(&metrics);
