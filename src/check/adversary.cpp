@@ -45,7 +45,7 @@ bool GreedyAdversary::dest_legal_for(const Sim& e, PacketId p,
   const std::int32_t mi = scheduled_move_[static_cast<std::size_t>(p)];
   if (mi < 0) return true;
   const ScheduledMove& m = moves_[static_cast<std::size_t>(mi)];
-  return e.topology().is_profitable(m.from, m.dir, dest);
+  return e.mesh().is_profitable(m.from, m.dir, dest);
 }
 
 void GreedyAdversary::after_schedule(Sim& e,
@@ -72,7 +72,7 @@ void GreedyAdversary::after_schedule(Sim& e,
     const PacketId q = static_cast<PacketId>(id);
     const Packet& qk = e.packet(q);
     if (qk.delivered()) continue;
-    pool.push_back(Candidate{e.topology().distance(qk.dest, hot), q});
+    pool.push_back(Candidate{e.mesh().distance(qk.dest, hot), q});
   }
   std::sort(pool.begin(), pool.end(), [](const Candidate& a,
                                          const Candidate& b) {
@@ -90,7 +90,7 @@ void GreedyAdversary::after_schedule(Sim& e,
     if (budget <= 0) break;
     if (consumed[static_cast<std::size_t>(m.packet)]) continue;
     const NodeId cur_dest = e.packet(m.packet).dest;
-    const std::int32_t cur_dist = e.topology().distance(cur_dest, hot);
+    const std::int32_t cur_dist = e.mesh().distance(cur_dest, hot);
     if (cur_dist == 0) continue;  // already aimed at the hot node
 
     int probed = 0;

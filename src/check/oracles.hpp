@@ -130,8 +130,8 @@ class DigestHasher : public StepObserver {
  public:
   std::uint64_t hash() const { return hash_; }
 
-  void on_prepare(const Sim& e, const StepDigest& d) override { mix(d); }
-  void on_step(const Sim& e, const StepDigest& d) override { mix(d); }
+  void on_prepare(const Sim&, const StepDigest& d) override { mix(d); }
+  void on_step(const Sim&, const StepDigest& d) override { mix(d); }
 
  private:
   void mix(const StepDigest& d);

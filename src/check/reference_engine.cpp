@@ -60,7 +60,7 @@ void ReferenceEngine::record_occupancy(NodeId u) {
 
 void ReferenceEngine::rebuild_active() {
   active_.clear();
-  for (NodeId u = 0; u < topology().num_nodes(); ++u)
+  for (NodeId u = 0; u < mesh().num_nodes(); ++u)
     if (!node_packets_.empty(u)) active_.push_back(u);
 }
 
@@ -68,7 +68,7 @@ QueueTag ReferenceEngine::injection_queue_tag(PacketId p) const {
   // Mirror of Engine::injection_queue_tag: the inlink opposite the first
   // profitable direction in E, W, N, S preference order; South if none.
   const Packet& pk = packets_[p];
-  const DirMask m = topology().profitable_dirs(pk.source, pk.dest);
+  const DirMask m = mesh().profitable_dirs(pk.source, pk.dest);
   for (Dir d : {Dir::East, Dir::West, Dir::North, Dir::South})
     if (mask_has(m, d)) return static_cast<QueueTag>(dir_index(opposite(d)));
   return static_cast<QueueTag>(dir_index(Dir::South));
@@ -144,18 +144,18 @@ void ReferenceEngine::validate_out_plan(NodeId u, const OutPlan& plan,
     MR_REQUIRE_MSG(!scheduled[static_cast<std::size_t>(p)],
                    "packet " << p << " scheduled on two outlinks");
     scheduled[static_cast<std::size_t>(p)] = 1;
-    MR_REQUIRE_MSG(topology().neighbor(u, d) != kInvalidNode,
+    MR_REQUIRE_MSG(mesh().neighbor(u, d) != kInvalidNode,
                    "node " << u << " scheduled packet off the mesh edge");
     if (enforce_minimal_) {
       MR_REQUIRE_MSG(
-          topology().is_profitable(u, d, pk.dest),
+          mesh().is_profitable(u, d, pk.dest),
           "minimal algorithm scheduled packet "
               << p << " on unprofitable outlink " << dir_name(d) << " at node "
               << u);
     } else if (max_stray_ >= 0) {
-      const Coord target = topology().coord_of(topology().neighbor(u, d));
-      const Coord s = topology().coord_of(pk.source);
-      const Coord t = topology().coord_of(pk.dest);
+      const Coord target = mesh().coord_of(mesh().neighbor(u, d));
+      const Coord s = mesh().coord_of(pk.source);
+      const Coord t = mesh().coord_of(pk.dest);
       const bool inside =
           target.col >= std::min(s.col, t.col) - max_stray_ &&
           target.col <= std::max(s.col, t.col) + max_stray_ &&
@@ -185,14 +185,14 @@ bool ReferenceEngine::step_once() {
   // these, and phase (e) visits them again (drained or not) plus the
   // receivers.
   std::vector<std::uint8_t> held_packet(
-      static_cast<std::size_t>(topology().num_nodes()), 0);
-  for (NodeId u = 0; u < topology().num_nodes(); ++u)
+      static_cast<std::size_t>(mesh().num_nodes()), 0);
+  for (NodeId u = 0; u < mesh().num_nodes(); ++u)
     if (!node_packets_.empty(u)) held_packet[u] = 1;
 
   // ----- (a) outqueue policies schedule packets -------------------------
   std::vector<ScheduledMove> moves;
   std::vector<std::uint8_t> scheduled(packets_.size(), 0);
-  for (NodeId u = 0; u < topology().num_nodes(); ++u) {
+  for (NodeId u = 0; u < mesh().num_nodes(); ++u) {
     if (node_packets_.empty(u)) continue;
     OutPlan plan;
     algorithm_.plan_out(*this, u, plan);
@@ -200,7 +200,7 @@ bool ReferenceEngine::step_once() {
     for (Dir d : kAllDirs) {
       const PacketId p = plan.scheduled(d);
       if (p == kInvalidPacket) continue;
-      moves.push_back(ScheduledMove{p, u, topology().neighbor(u, d), d});
+      moves.push_back(ScheduledMove{p, u, mesh().neighbor(u, d), d});
     }
   }
 
@@ -227,7 +227,7 @@ bool ReferenceEngine::step_once() {
     if (enforce_minimal_) {
       for (const ScheduledMove& m : moves) {
         MR_REQUIRE_MSG(
-            topology().is_profitable(m.from, m.dir, packets_[m.packet].dest),
+            mesh().is_profitable(m.from, m.dir, packets_[m.packet].dest),
             "exchange made scheduled move of packet " << m.packet
                                                       << " non-minimal");
       }
@@ -244,7 +244,7 @@ bool ReferenceEngine::step_once() {
       deliveries.push_back(m);
     } else {
       offers.push_back(Offer{m.packet, m.from, m.to, m.dir,
-                             topology().profitable_dirs(m.from, pk.dest)});
+                             mesh().profitable_dirs(m.from, pk.dest)});
     }
   }
   // Receiving nodes ascending, offers within a node by travel direction —
@@ -319,7 +319,7 @@ bool ReferenceEngine::step_once() {
   // ----- (e) state updates -----------------------------------------------
   // Every node that held, sent or received a packet this step, ascending.
   for (const Offer& o : accepted) held_packet[o.to] = 1;
-  for (NodeId u = 0; u < topology().num_nodes(); ++u)
+  for (NodeId u = 0; u < mesh().num_nodes(); ++u)
     if (held_packet[u]) algorithm_.update_state(*this, u);
 
   rebuild_active();

@@ -1,8 +1,10 @@
 #include "core/json_min.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace mr::json {
 
@@ -209,6 +211,40 @@ std::string escape(const std::string& s) {
     }
   }
   return out;
+}
+
+bool whole_int64(const Value& v, std::int64_t* out) {
+  // [-2^63, 2^63): both bounds are exact doubles, so the cast below is
+  // defined for every number that passes.
+  if (!v.is_number() || !(v.number >= -0x1p63 && v.number < 0x1p63) ||
+      std::trunc(v.number) != v.number)
+    return false;
+  *out = static_cast<std::int64_t>(v.number);
+  return true;
+}
+
+bool fits_int32(std::int64_t v) {
+  return v >= std::numeric_limits<std::int32_t>::min() &&
+         v <= std::numeric_limits<std::int32_t>::max();
+}
+
+bool get_int(const Value& obj, const char* key, std::int64_t* out) {
+  const Value* v = obj.find(key);
+  return v && whole_int64(*v, out);
+}
+
+bool get_double(const Value& obj, const char* key, double* out) {
+  const Value* v = obj.find(key);
+  if (!v || !v->is_number()) return false;
+  *out = v->number;
+  return true;
+}
+
+bool get_bool(const Value& obj, const char* key, bool* out) {
+  const Value* v = obj.find(key);
+  if (!v || !v->is_bool()) return false;
+  *out = v->boolean;
+  return true;
 }
 
 std::string number_to_string(double v) {

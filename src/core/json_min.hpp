@@ -41,6 +41,22 @@ struct Value {
 /// message with the byte offset of the problem.
 std::optional<Value> parse(const std::string& text, std::string* error);
 
+/// True when `v` is a whole number in int64 range; stores it in *out.
+/// Decoders read integers through this (or get_int) so that a value such
+/// as 1e30 is rejected instead of cast (undefined behaviour) and 2.5 is
+/// rejected instead of truncated.
+bool whole_int64(const Value& v, std::int64_t* out);
+
+/// True when `v` is representable as an int32 (the engine's size type).
+bool fits_int32(std::int64_t v);
+
+/// Object member readers: true, with *out set, when `obj` has `key` and
+/// it holds a whole number in int64 range (get_int), a number
+/// (get_double) or a boolean (get_bool); false otherwise.
+bool get_int(const Value& obj, const char* key, std::int64_t* out);
+bool get_double(const Value& obj, const char* key, double* out);
+bool get_bool(const Value& obj, const char* key, bool* out);
+
 /// Escapes `s` for embedding in a JSON string literal (no surrounding
 /// quotes). Non-ASCII bytes pass through (UTF-8 is valid JSON).
 std::string escape(const std::string& s);

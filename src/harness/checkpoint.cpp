@@ -6,30 +6,6 @@
 #include "core/json_min.hpp"
 
 namespace mr {
-namespace {
-
-bool get_int(const json::Value& obj, const char* key, std::int64_t* out) {
-  const json::Value* v = obj.find(key);
-  if (!v || !v->is_number()) return false;
-  *out = static_cast<std::int64_t>(v->number);
-  return true;
-}
-
-bool get_double(const json::Value& obj, const char* key, double* out) {
-  const json::Value* v = obj.find(key);
-  if (!v || !v->is_number()) return false;
-  *out = v->number;
-  return true;
-}
-
-bool get_bool(const json::Value& obj, const char* key, bool* out) {
-  const json::Value* v = obj.find(key);
-  if (!v || !v->is_bool()) return false;
-  *out = v->boolean;
-  return true;
-}
-
-}  // namespace
 
 std::string exact_double(double v) { return json::exact_number_to_string(v); }
 
@@ -74,32 +50,27 @@ bool run_result_from_json(const std::string& text, RunResult* result,
     return fail("missing or wrong \"format\"");
 
   RunResult r;
-  std::int64_t steps = 0, packets = 0, delivered = 0, max_queue = 0,
-               total_moves = 0;
-  if (!get_int(*doc, "steps", &steps) || !get_int(*doc, "packets", &packets) ||
-      !get_int(*doc, "delivered", &delivered) ||
-      !get_int(*doc, "max_queue", &max_queue) ||
-      !get_int(*doc, "total_moves", &total_moves) ||
-      !get_bool(*doc, "all_delivered", &r.all_delivered) ||
-      !get_bool(*doc, "stalled", &r.stalled))
+  std::int64_t packets = 0, delivered = 0, max_queue = 0;
+  if (!json::get_int(*doc, "steps", &r.steps) ||
+      !json::get_int(*doc, "packets", &packets) ||
+      !json::get_int(*doc, "delivered", &delivered) ||
+      !json::get_int(*doc, "max_queue", &max_queue) ||
+      !json::get_int(*doc, "total_moves", &r.total_moves) ||
+      !json::get_bool(*doc, "all_delivered", &r.all_delivered) ||
+      !json::get_bool(*doc, "stalled", &r.stalled))
     return fail("missing scalar field");
-  r.steps = steps;
   r.packets = static_cast<std::size_t>(packets);
   r.delivered = static_cast<std::size_t>(delivered);
   r.max_queue = static_cast<int>(max_queue);
-  r.total_moves = total_moves;
 
   const json::Value* latency = doc->find("latency");
   if (!latency || !latency->is_object()) return fail("missing \"latency\"");
-  std::int64_t p50 = 0, p95 = 0, p99 = 0, max = 0;
-  if (!get_double(*latency, "mean", &r.latency.mean) ||
-      !get_int(*latency, "p50", &p50) || !get_int(*latency, "p95", &p95) ||
-      !get_int(*latency, "p99", &p99) || !get_int(*latency, "max", &max))
+  if (!json::get_double(*latency, "mean", &r.latency.mean) ||
+      !json::get_int(*latency, "p50", &r.latency.p50) ||
+      !json::get_int(*latency, "p95", &r.latency.p95) ||
+      !json::get_int(*latency, "p99", &r.latency.p99) ||
+      !json::get_int(*latency, "max", &r.latency.max))
     return fail("malformed \"latency\"");
-  r.latency.p50 = p50;
-  r.latency.p95 = p95;
-  r.latency.p99 = p99;
-  r.latency.max = max;
 
   const json::Value* mode = doc->find("engine_mode");
   if (!mode || !mode->is_string()) return fail("missing \"engine_mode\"");
@@ -123,11 +94,9 @@ bool run_result_from_json(const std::string& text, RunResult* result,
       if (!s.is_number()) return fail("malformed \"phase_profile.seconds\"");
       pp.seconds[static_cast<std::size_t>(i)] = s.number;
     }
-    std::int64_t profile_steps = 0;
-    if (!get_double(*profile, "total_seconds", &pp.total_seconds) ||
-        !get_int(*profile, "steps", &profile_steps))
+    if (!json::get_double(*profile, "total_seconds", &pp.total_seconds) ||
+        !json::get_int(*profile, "steps", &pp.steps))
       return fail("malformed \"phase_profile\"");
-    pp.steps = profile_steps;
     r.phase_profile = pp;
   }
 

@@ -18,22 +18,6 @@ bool first_dir_on_axis(DirMask m, DirMask axis, Dir& out) {
   return false;
 }
 
-/// Conservative accept-while-space inqueue, rotating starting inlink.
-void rotating_accept(std::uint64_t rotation, int free,
-                     std::span<const DxOffer> offers, InPlan& plan) {
-  const int start = static_cast<int>(rotation % kNumDirs);
-  for (int r = 0; r < kNumDirs && free > 0; ++r) {
-    const Dir want = static_cast<Dir>((start + r) % kNumDirs);
-    for (std::size_t i = 0; i < offers.size(); ++i) {
-      if (offers[i].travel_dir == want && !plan.accept[i]) {
-        plan.accept[i] = true;
-        --free;
-        break;
-      }
-    }
-  }
-}
-
 }  // namespace
 
 void AdaptiveAlternateRouter::dx_init(NodeCtx&,
@@ -64,11 +48,9 @@ void AdaptiveAlternateRouter::dx_plan_out(
 }
 
 void AdaptiveAlternateRouter::dx_plan_in(NodeCtx& ctx,
-                                         std::span<const PacketDxView> resident,
-                                         std::span<const DxOffer> offers,
+                                         std::span<const Offer> offers,
                                          InPlan& plan) {
-  rotating_accept(ctx.state, ctx.capacity - static_cast<int>(resident.size()),
-                  offers, plan);
+  rotating_accept(ctx, ctx.state, offers, plan);
 }
 
 void AdaptiveAlternateRouter::dx_update(NodeCtx& ctx,
@@ -110,12 +92,9 @@ void GreedyMatchRouter::dx_plan_out(NodeCtx& ctx,
 }
 
 void GreedyMatchRouter::dx_plan_in(NodeCtx& ctx,
-                                   std::span<const PacketDxView> resident,
-                                   std::span<const DxOffer> offers,
+                                   std::span<const Offer> offers,
                                    InPlan& plan) {
-  rotating_accept(ctx.state + 1, ctx.capacity -
-                                     static_cast<int>(resident.size()),
-                  offers, plan);
+  rotating_accept(ctx, ctx.state + 1, offers, plan);
 }
 
 void GreedyMatchRouter::dx_update(NodeCtx& ctx, std::span<PacketDxView>) {

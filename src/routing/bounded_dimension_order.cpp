@@ -64,9 +64,9 @@ void BoundedDimensionOrderRouter::dx_plan_out(
   }
 }
 
-void BoundedDimensionOrderRouter::dx_plan_in(
-    NodeCtx& ctx, std::span<const PacketDxView>,
-    std::span<const DxOffer> offers, InPlan& plan) {
+void BoundedDimensionOrderRouter::dx_plan_in(NodeCtx& ctx,
+                                             std::span<const Offer> offers,
+                                             InPlan& plan) {
   // Occupancy per inlink queue at the start of the step, precomputed by
   // the engine's incremental counters.
   const std::array<int, kNumDirs>& occupancy = ctx.inlink_occupancy;
@@ -83,7 +83,7 @@ void BoundedDimensionOrderRouter::dx_plan_in(
   // sender retries next step); fault-free runs are bit-identical.
   const bool guaranteed_eject = !ctx.fault_mode;
   for (std::size_t i = 0; i < offers.size(); ++i) {
-    const Dir travel = offers[i].travel_dir;
+    const Dir travel = offers[i].dir;
     const int queue = dir_index(opposite(travel));
     if (guaranteed_eject && (travel == Dir::North || travel == Dir::South)) {
       plan.accept[i] = true;

@@ -3,19 +3,20 @@
 // §2 restricts the information a "simple" routing algorithm may use:
 //   * outqueue policy: states, source addresses and profitable outlinks of
 //     resident packets; the node's state;
-//   * inqueue policy: additionally the scheduled packets' profitable
-//     outlinks measured from the SENDING node;
-//   * state updates: the same quantities.
+//   * inqueue policy: the node's state and occupancy, plus the scheduled
+//     packets' profitable outlinks measured from the SENDING node;
+//   * state updates: the same quantities as the outqueue policy.
 // Crucially, a packet's destination address is visible only through its
-// profitable-outlink mask. DxAlgorithm enforces this by construction: the
-// dx_* callbacks receive PacketDxView records that simply do not contain
-// the destination, and the adapter (this class) is the only code path from
+// profitable-outlink mask. DxAlgorithm enforces this by construction:
+// dx_init, dx_plan_out and dx_update receive PacketDxView records, and
+// dx_plan_in receives the engine's Offers; neither contains the
+// destination, and the adapter (this class) is the only code path from
 // Engine to the policy. Lemma 10's exchange-equivariance is additionally
-// property-tested in tests/routing/dx_equivariance_test.cpp.
+// property-tested in tests/dx_equivariance_test.cpp.
 //
-// A node IS allowed to know its own identity, coordinates, the mesh shape,
-// k and the global step counter: the lower-bound argument never relocates
-// nodes, it only swaps destination addresses, so none of these break
+// A node IS allowed to know its own identity, its links, k and the global
+// step counter: the lower-bound argument never relocates nodes, it only
+// swaps destination addresses, so none of these break
 // exchange-equivariance.
 #pragma once
 
@@ -28,7 +29,7 @@
 
 namespace mr {
 
-/// The §2-legal view of a packet.
+/// The §2-legal view of a resident packet.
 struct PacketDxView {
   PacketId id = kInvalidPacket;  ///< stable identity (not the destination)
   NodeId source = kInvalidNode;
@@ -41,30 +42,23 @@ struct PacketDxView {
   DirMask profitable = 0;    ///< the only destination-derived information
 };
 
-/// A scheduled packet offered to a node, with profitability measured from
-/// the sender, as §2 prescribes.
-struct DxOffer {
-  PacketDxView view;
-  Dir travel_dir = Dir::North;  ///< direction of the scheduled move
-};
-
 class DxAlgorithm : public Algorithm {
  public:
   /// Context of the node whose policy is running.
   struct NodeCtx {
     NodeId node = kInvalidNode;
-    Coord coord;
-    std::int32_t width = 0;    ///< mesh dimensions (a node knows the mesh)
-    std::int32_t height = 0;
-    bool torus = false;
     Step step = 0;             ///< step being executed (0 during init)
     int capacity = 0;          ///< k
+    int occupancy = 0;         ///< packets queued here (Sim::occupancy)
     std::uint64_t state = 0;   ///< node state; written back after the call
     /// Per-inlink queue occupancy at this node (PerInlink layout only;
     /// all-zero under the central layout). §2-legal: derivable from the
     /// resident packet views, provided precomputed so policies need not
     /// rescan the queue.
     std::array<int, kNumDirs> inlink_occupancy{};
+    /// Outlinks that exist from this node, whether or not a fault has
+    /// them down.
+    DirMask outlinks = 0;
 
     /// True when a non-empty fault schedule (sim/fault.hpp) is installed
     /// for this run — whether or not a window is active at this step.
@@ -78,34 +72,8 @@ class DxAlgorithm : public Algorithm {
     /// exchange-equivariance is unaffected.
     bool fault_mode = false;
 
-    /// Outlinks of this node usable under the current fault set. Bits for
-    /// non-existent links may be set — consult has_outlink first; what
-    /// matters is that a fault CLEARS the bit of an existing link.
-    /// §2-legal: a router observes the state of its own links, never a
-    /// destination.
-    DirMask avail = dir_bit(Dir::North) | dir_bit(Dir::East) |
-                    dir_bit(Dir::South) | dir_bit(Dir::West);
-
-    /// True when at least one existing outlink is currently down.
-    bool degraded() const {
-      for (int i = 0; i < kNumDirs; ++i) {
-        const Dir d = static_cast<Dir>(i);
-        if (has_outlink(d) && !mask_has(avail, d)) return true;
-      }
-      return false;
-    }
-
     /// True if the outlink in direction d exists from this node.
-    bool has_outlink(Dir d) const {
-      if (torus) return true;
-      switch (d) {
-        case Dir::North: return coord.row + 1 < height;
-        case Dir::South: return coord.row > 0;
-        case Dir::East: return coord.col + 1 < width;
-        case Dir::West: return coord.col > 0;
-      }
-      return false;
-    }
+    bool has_outlink(Dir d) const { return mask_has(outlinks, d); }
   };
 
   // Adapter plumbing: translates Engine callbacks into DX views. Final so
@@ -133,10 +101,10 @@ class DxAlgorithm : public Algorithm {
 
   /// Inqueue policy: fill plan.accept (same indexing as offers). Must
   /// guarantee no overflow given that none of the node's own packets is
-  /// certain to leave.
-  virtual void dx_plan_in(NodeCtx& ctx,
-                          std::span<const PacketDxView> resident,
-                          std::span<const DxOffer> offers, InPlan& plan) = 0;
+  /// certain to leave. Each offer's `profitable_from_sender` is measured
+  /// from the sending node, as §2 prescribes.
+  virtual void dx_plan_in(NodeCtx& ctx, std::span<const Offer> offers,
+                          InPlan& plan) = 0;
 
   /// End-of-step state update; resident packet states may be modified and
   /// are written back. Default: no state.
@@ -145,13 +113,18 @@ class DxAlgorithm : public Algorithm {
     (void)resident;
   }
 
+  /// Conservative round-robin inqueue (the paper's §2 example): starting
+  /// at travel direction `rotation % 4`, accept one offer per direction
+  /// while space remains even if none of the node's own packets departs.
+  static void rotating_accept(const NodeCtx& ctx, std::uint64_t rotation,
+                              std::span<const Offer> offers, InPlan& plan);
+
  private:
   NodeCtx make_ctx(const Sim& e, NodeId u) const;
   void fill_views(const Sim& e, NodeId u);
 
   // scratch, reused across callbacks
   std::vector<PacketDxView> views_;
-  std::vector<DxOffer> dx_offers_;
 };
 
 }  // namespace mr

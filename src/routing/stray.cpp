@@ -23,21 +23,9 @@ void StrayRouter::dx_plan_out(NodeCtx& ctx,
   }
 }
 
-void StrayRouter::dx_plan_in(NodeCtx& ctx,
-                             std::span<const PacketDxView> resident,
-                             std::span<const DxOffer> offers, InPlan& plan) {
-  int free = ctx.capacity - static_cast<int>(resident.size());
-  const int start = static_cast<int>(ctx.state % kNumDirs);
-  for (int r = 0; r < kNumDirs && free > 0; ++r) {
-    const Dir want = static_cast<Dir>((start + r) % kNumDirs);
-    for (std::size_t i = 0; i < offers.size(); ++i) {
-      if (offers[i].travel_dir == want && !plan.accept[i]) {
-        plan.accept[i] = true;
-        --free;
-        break;
-      }
-    }
-  }
+void StrayRouter::dx_plan_in(NodeCtx& ctx, std::span<const Offer> offers,
+                             InPlan& plan) {
+  rotating_accept(ctx, ctx.state, offers, plan);
 }
 
 void StrayRouter::dx_update(NodeCtx& ctx, std::span<PacketDxView> resident) {

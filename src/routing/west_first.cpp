@@ -58,21 +58,9 @@ void WestFirstRouter::dx_plan_out(NodeCtx& ctx,
 }
 
 void WestFirstRouter::dx_plan_in(NodeCtx& ctx,
-                                 std::span<const PacketDxView> resident,
-                                 std::span<const DxOffer> offers,
+                                 std::span<const Offer> offers,
                                  InPlan& plan) {
-  int free = ctx.capacity - static_cast<int>(resident.size());
-  const int start = static_cast<int>((ctx.state >> 8) & 0x3u);
-  for (int r = 0; r < kNumDirs && free > 0; ++r) {
-    const Dir want = static_cast<Dir>((start + r) % kNumDirs);
-    for (std::size_t i = 0; i < offers.size(); ++i) {
-      if (offers[i].travel_dir == want && !plan.accept[i]) {
-        plan.accept[i] = true;
-        --free;
-        break;
-      }
-    }
-  }
+  rotating_accept(ctx, (ctx.state >> 8) & 0x3u, offers, plan);
 }
 
 void WestFirstRouter::dx_update(NodeCtx& ctx,

@@ -45,8 +45,8 @@ class ScheduleFollower final : public DxAlgorithm {
  protected:
   void dx_plan_out(NodeCtx& ctx, std::span<const PacketDxView> resident,
                    OutPlan& plan) override;
-  void dx_plan_in(NodeCtx& ctx, std::span<const PacketDxView> resident,
-                  std::span<const DxOffer> offers, InPlan& plan) override;
+  void dx_plan_in(NodeCtx& ctx, std::span<const Offer> offers,
+                  InPlan& plan) override;
 
  private:
   std::shared_ptr<const Schedule> schedule_;

@@ -1,7 +1,5 @@
 #include "service/job.hpp"
 
-#include <cmath>
-#include <limits>
 #include <memory>
 
 #include "topo/registry.hpp"
@@ -9,26 +7,6 @@
 #include "workload/permutation.hpp"
 
 namespace mr {
-namespace {
-
-/// True when `v` is a whole number in int64 range; stores it in *out.
-bool whole_int64(const json::Value& v, std::int64_t* out) {
-  // [-2^63, 2^63): both bounds are exact doubles, so the cast below is
-  // defined for every number that passes.
-  if (!v.is_number() || !(v.number >= -0x1p63 && v.number < 0x1p63) ||
-      std::trunc(v.number) != v.number)
-    return false;
-  *out = static_cast<std::int64_t>(v.number);
-  return true;
-}
-
-/// True when `v` is representable as an int32 (the engine's size type).
-bool fits_int32(std::int64_t v) {
-  return v >= std::numeric_limits<std::int32_t>::min() &&
-         v <= std::numeric_limits<std::int32_t>::max();
-}
-
-}  // namespace
 
 bool parse_job_spec(const json::Value& job, JobSpec* out, std::string* error) {
   const auto fail = [error](const std::string& what) {
@@ -45,7 +23,7 @@ bool parse_job_spec(const json::Value& job, JobSpec* out, std::string* error) {
                               std::int64_t* value) {
     const json::Value* v = obj.find(key);
     if (!v) return false;
-    if (whole_int64(*v, value)) return true;
+    if (json::whole_int64(*v, value)) return true;
     if (bad.empty())
       bad = std::string("\"") + key +
             "\" must be a whole number in int64 range";
@@ -63,7 +41,7 @@ bool parse_job_spec(const json::Value& job, JobSpec* out, std::string* error) {
       width < 1 || height < 1)
     return fail(bad.empty() ? "missing or non-positive \"width\"/\"height\""
                             : bad);
-  if (!fits_int32(width) || !fits_int32(height))
+  if (!json::fits_int32(width) || !json::fits_int32(height))
     return fail("\"width\"/\"height\" out of int32 range");
   spec.run.width = static_cast<std::int32_t>(width);
   spec.run.height = static_cast<std::int32_t>(height);
@@ -78,7 +56,7 @@ bool parse_job_spec(const json::Value& job, JobSpec* out, std::string* error) {
   std::int64_t v = 0;
   if (get_int(job, "k", &v)) {
     if (v < 1) return fail("\"k\" must be >= 1");
-    if (!fits_int32(v)) return fail("\"k\" out of int32 range");
+    if (!json::fits_int32(v)) return fail("\"k\" out of int32 range");
     spec.run.queue_capacity = static_cast<int>(v);
   }
   if (get_int(job, "max_steps", &v)) {
@@ -91,12 +69,12 @@ bool parse_job_spec(const json::Value& job, JobSpec* out, std::string* error) {
   }
   if (get_int(job, "shards", &v)) {
     if (v < 1) return fail("\"shards\" must be >= 1");
-    if (!fits_int32(v)) return fail("\"shards\" out of int32 range");
+    if (!json::fits_int32(v)) return fail("\"shards\" out of int32 range");
     spec.run.engine_shards = static_cast<int>(v);
   }
   if (get_int(job, "threads", &v)) {
     if (v < 1) return fail("\"threads\" must be >= 1");
-    if (!fits_int32(v)) return fail("\"threads\" out of int32 range");
+    if (!json::fits_int32(v)) return fail("\"threads\" out of int32 range");
     spec.run.engine_threads = static_cast<int>(v);
   }
   if (get_int(job, "sample_every", &v)) {

@@ -143,9 +143,9 @@ PacketId Engine::pump_packet(NodeId source, NodeId dest, Step injected_at) {
   return id;
 }
 
-QueueTag Engine::arrival_tag(Dir travel_dir) const {
+QueueTag Engine::arrival_tag(Dir travel) const {
   if (layout_ == QueueLayout::Central) return kCentralQueue;
-  return static_cast<QueueTag>(dir_index(opposite(travel_dir)));
+  return static_cast<QueueTag>(dir_index(opposite(travel)));
 }
 
 void Engine::place_packet(PacketId p, NodeId node, QueueTag tag,

@@ -293,7 +293,7 @@ class Engine : public Sim {
   void validate_out_plan(NodeId u, const OutPlan& plan);
   void check_capacity_after_transmit(NodeId v);
   void record_occupancy(NodeId u, int& peak);
-  QueueTag arrival_tag(Dir travel_dir) const;
+  QueueTag arrival_tag(Dir travel) const;
   QueueTag injection_queue_tag(PacketId p) const;
   std::size_t inlink_index(NodeId u, QueueTag tag) const {
     return static_cast<std::size_t>(u) * kNumDirs + tag;

@@ -51,11 +51,9 @@ class Sim {
   Sim& operator=(const Sim&) = delete;
 
   // --- configuration -----------------------------------------------------
-  /// The network being routed on. Historically this was the concrete Mesh;
-  /// the accessor keeps its name so call sites read naturally, but any
-  /// registered Topology may be behind it.
+  /// The network being routed on: any registered Topology (mesh, torus,
+  /// cmesh-c), not only the plain mesh the name suggests.
   const Topology& mesh() const { return *topo_; }
-  const Topology& topology() const { return *topo_; }
   int queue_capacity() const { return queue_capacity_; }
   QueueLayout queue_layout() const { return layout_; }
 

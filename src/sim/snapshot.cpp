@@ -98,9 +98,17 @@ std::string str_field(const json::Value& obj, const char* key) {
   return v.string;
 }
 std::int64_t int_field(const json::Value& obj, const char* key) {
-  const json::Value& v = field(obj, key);
-  if (!v.is_number()) format_error(std::string("header field \"") + key + "\" must be a number");
-  return static_cast<std::int64_t>(v.number);
+  std::int64_t out = 0;
+  if (!json::whole_int64(field(obj, key), &out))
+    format_error(std::string("header field \"") + key +
+                 "\" must be a whole number in int64 range");
+  return out;
+}
+std::int32_t int32_field(const json::Value& obj, const char* key) {
+  const std::int64_t v = int_field(obj, key);
+  if (!json::fits_int32(v))
+    format_error(std::string("header field \"") + key + "\" out of int32 range");
+  return static_cast<std::int32_t>(v);
 }
 
 std::string payload_bytes(const EngineSnapshot& snap) {
@@ -186,10 +194,10 @@ EngineSnapshot parse_snapshot(std::string_view bytes) {
 
   EngineSnapshot snap;
   snap.meta.topology = str_field(*header, "topology");
-  snap.meta.width = static_cast<std::int32_t>(int_field(*header, "width"));
-  snap.meta.height = static_cast<std::int32_t>(int_field(*header, "height"));
+  snap.meta.width = int32_field(*header, "width");
+  snap.meta.height = int32_field(*header, "height");
   snap.meta.algorithm = str_field(*header, "algorithm");
-  snap.meta.queue_capacity = static_cast<int>(int_field(*header, "k"));
+  snap.meta.queue_capacity = int32_field(*header, "k");
   const std::string layout = str_field(*header, "layout");
   if (layout == "central") {
     snap.meta.layout = QueueLayout::Central;
@@ -198,7 +206,7 @@ EngineSnapshot parse_snapshot(std::string_view bytes) {
   } else {
     format_error("unknown layout \"" + layout + "\"");
   }
-  snap.meta.shards = static_cast<int>(int_field(*header, "shards"));
+  snap.meta.shards = int32_field(*header, "shards");
   snap.meta.step = int_field(*header, "step");
 
   const std::int64_t n_packets = int_field(*header, "packets");

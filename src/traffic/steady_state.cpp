@@ -278,18 +278,10 @@ bool parse_phase(const json::Value& doc, const char* name,
                  TrafficPhaseStats* out) {
   const json::Value* p = doc.find(name);
   if (!p || !p->is_object()) return false;
-  const auto get = [&](const char* key, std::int64_t* v) {
-    const json::Value* field = p->find(key);
-    if (!field || !field->is_number()) return false;
-    *v = static_cast<std::int64_t>(field->number);
-    return true;
-  };
-  std::int64_t steps = 0;
-  if (!get("steps", &steps) || !get("offered", &out->offered) ||
-      !get("injected", &out->injected) || !get("delivered", &out->delivered))
-    return false;
-  out->steps = steps;
-  return true;
+  return json::get_int(*p, "steps", &out->steps) &&
+         json::get_int(*p, "offered", &out->offered) &&
+         json::get_int(*p, "injected", &out->injected) &&
+         json::get_int(*p, "delivered", &out->delivered);
 }
 
 }  // namespace
@@ -343,56 +335,32 @@ bool steady_state_result_from_json(const std::string& text,
       !parse_phase(*doc, "drain", &r.drain))
     return fail("malformed phase record");
 
-  const auto get_int = [&](const char* key, std::int64_t* v) {
-    const json::Value* field = doc->find(key);
-    if (!field || !field->is_number()) return false;
-    *v = static_cast<std::int64_t>(field->number);
-    return true;
-  };
-  const auto get_double = [&](const char* key, double* v) {
-    const json::Value* field = doc->find(key);
-    if (!field || !field->is_number()) return false;
-    *v = field->number;
-    return true;
-  };
-  const auto get_bool = [&](const char* key, bool* v) {
-    const json::Value* field = doc->find(key);
-    if (!field || !field->is_bool()) return false;
-    *v = field->boolean;
-    return true;
-  };
-
   const json::Value* latency = doc->find("latency");
   if (!latency || !latency->is_object()) return fail("missing \"latency\"");
-  const json::Value* mean = latency->find("mean");
-  if (!mean || !mean->is_number()) return fail("malformed \"latency\"");
-  r.latency.mean = mean->number;
-  const auto get_lat = [&](const char* key, Step* v) {
-    const json::Value* field = latency->find(key);
-    if (!field || !field->is_number()) return false;
-    *v = static_cast<Step>(field->number);
-    return true;
-  };
-  if (!get_lat("p50", &r.latency.p50) || !get_lat("p95", &r.latency.p95) ||
-      !get_lat("p99", &r.latency.p99) || !get_lat("max", &r.latency.max))
+  if (!json::get_double(*latency, "mean", &r.latency.mean) ||
+      !json::get_int(*latency, "p50", &r.latency.p50) ||
+      !json::get_int(*latency, "p95", &r.latency.p95) ||
+      !json::get_int(*latency, "p99", &r.latency.p99) ||
+      !json::get_int(*latency, "max", &r.latency.max))
     return fail("malformed \"latency\"");
 
-  std::int64_t steps = 0, max_queue = 0, measured_packets = 0,
-               measured_delivered = 0;
-  if (!get_double("offered_rate", &r.offered_rate) ||
-      !get_double("accepted_rate", &r.accepted_rate) ||
-      !get_double("stationarity_drift", &r.stationarity_drift) ||
-      !get_int("measured_packets", &measured_packets) ||
-      !get_int("measured_delivered", &measured_delivered) ||
-      !get_bool("stationary", &r.stationary) ||
-      !get_bool("drained", &r.drained) || !get_bool("stalled", &r.stalled) ||
-      !get_int("steps", &steps) || !get_int("max_queue", &max_queue) ||
-      !get_int("total_moves", &r.total_moves) ||
-      !get_int("total_offered", &r.total_offered) ||
-      !get_int("total_delivered", &r.total_delivered) ||
-      !get_int("backlog_end", &r.backlog_end))
+  std::int64_t max_queue = 0, measured_packets = 0, measured_delivered = 0;
+  const json::Value& d = *doc;
+  if (!json::get_double(d, "offered_rate", &r.offered_rate) ||
+      !json::get_double(d, "accepted_rate", &r.accepted_rate) ||
+      !json::get_double(d, "stationarity_drift", &r.stationarity_drift) ||
+      !json::get_int(d, "measured_packets", &measured_packets) ||
+      !json::get_int(d, "measured_delivered", &measured_delivered) ||
+      !json::get_bool(d, "stationary", &r.stationary) ||
+      !json::get_bool(d, "drained", &r.drained) ||
+      !json::get_bool(d, "stalled", &r.stalled) ||
+      !json::get_int(d, "steps", &r.steps) ||
+      !json::get_int(d, "max_queue", &max_queue) ||
+      !json::get_int(d, "total_moves", &r.total_moves) ||
+      !json::get_int(d, "total_offered", &r.total_offered) ||
+      !json::get_int(d, "total_delivered", &r.total_delivered) ||
+      !json::get_int(d, "backlog_end", &r.backlog_end))
     return fail("missing scalar field");
-  r.steps = steps;
   r.max_queue = static_cast<int>(max_queue);
   r.measured_packets = static_cast<std::size_t>(measured_packets);
   r.measured_delivered = static_cast<std::size_t>(measured_delivered);

@@ -174,7 +174,9 @@ TEST(BoundedDo, KScalingIsMonotoneOnAdversarialTraffic) {
     spec.algorithm = "bounded-dimension-order";
     const RunResult r = run_workload(spec, corner_flood(mesh, 8, 8));
     ASSERT_TRUE(r.all_delivered);
-    if (prev != 0) EXPECT_LE(r.steps, prev + 2);  // allow tiny jitter
+    if (prev != 0) {
+      EXPECT_LE(r.steps, prev + 2);  // allow tiny jitter
+    }
     prev = r.steps;
   }
 }

@@ -117,8 +117,9 @@ TEST(FastRouteExtra, ScheduleAccounting) {
       const int q = seg.j == 0 ? 408 : 408;
       EXPECT_EQ(seg.length, Step(q) * seg.d - 1);
     }
-    if (seg.kind == FastRouteAlgorithm::Kind::Balance)
+    if (seg.kind == FastRouteAlgorithm::Kind::Balance) {
       EXPECT_EQ(seg.length, 3 * Step(seg.tile) - 4);
+    }
   }
   EXPECT_EQ(expected_start, algo.schedule_length());
   EXPECT_EQ(base_cases, 4);

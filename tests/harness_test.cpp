@@ -10,6 +10,7 @@
 #include "harness/sweep.hpp"
 #include "topo/mesh.hpp"
 #include "traffic/source.hpp"
+#include "traffic/steady_state.hpp"
 #include "workload/permutation.hpp"
 
 namespace mr {
@@ -187,6 +188,18 @@ TEST(Runner, UnknownTopologyThrows) {
   EXPECT_THROW(run_workload(spec, {}), InvariantViolation);
 }
 
+/// `text` with the value of the first `"key": ` member replaced by
+/// `value`.
+std::string with_field(std::string text, const std::string& key,
+                       const std::string& value) {
+  const std::string tag = "\"" + key + "\": ";
+  const std::size_t at = text.find(tag);
+  EXPECT_NE(at, std::string::npos) << key;
+  const std::size_t begin = at + tag.size();
+  const std::size_t end = text.find_first_of(",}", begin);
+  return text.replace(begin, end - begin, value);
+}
+
 TEST(Runner, RunResultJsonRoundTrips) {
   const Mesh mesh = Mesh::square(8);
   RunSpec spec;
@@ -202,6 +215,60 @@ TEST(Runner, RunResultJsonRoundTrips) {
   EXPECT_EQ(run_result_to_json(parsed), run_result_to_json(r));
   EXPECT_FALSE(run_result_from_json("{\"format\": \"wrong/1\"}", &parsed,
                                     &error));
+  // Integer fields must be whole numbers in int64 range: 1e30 used to be
+  // cast to int64 (undefined behaviour) and 2.5 silently truncated.
+  const std::string text = run_result_to_json(r);
+  for (const char* key :
+       {"steps", "packets", "delivered", "max_queue", "total_moves", "p50",
+        "max"}) {
+    for (const char* value : {"1e30", "2.5"}) {
+      EXPECT_FALSE(run_result_from_json(with_field(text, key, value),
+                                        &parsed, &error))
+          << key << "=" << value;
+    }
+  }
+}
+
+TEST(Runner, SteadyStateResultJsonRoundTrips) {
+  SteadyStateResult r;
+  r.warmup = {16, 40, 39, 12};
+  r.measure = {64, 170, 168, 150};
+  r.drain = {30, 0, 0, 25};
+  r.offered_rate = 0.1;
+  r.accepted_rate = 2.0 / 3.0;
+  r.latency = {7.25, 6, 11, 14, 19};
+  r.measured_packets = 170;
+  r.measured_delivered = 169;
+  r.stationary = true;
+  r.stationarity_drift = 0.03125;
+  r.drained = true;
+  r.steps = 110;
+  r.max_queue = 2;
+  r.total_moves = 1234;
+  r.total_offered = 210;
+  r.total_delivered = 207;
+  r.backlog_end = 3;
+  const std::string text = steady_state_result_to_json(r);
+  SteadyStateResult parsed;
+  std::string error;
+  ASSERT_TRUE(steady_state_result_from_json(text, &parsed, &error)) << error;
+  EXPECT_EQ(steady_state_result_to_json(parsed), text);
+  EXPECT_EQ(parsed.measure.delivered, 150);
+  EXPECT_EQ(parsed.accepted_rate, 2.0 / 3.0);
+  EXPECT_EQ(parsed.latency.p99, 14);
+  EXPECT_FALSE(
+      steady_state_result_from_json("{\"format\": \"wrong/1\"}", &parsed,
+                                    &error));
+  // The first "steps" is the warmup phase's, read by the phase decoder.
+  for (const char* key :
+       {"steps", "offered", "p99", "measured_packets", "max_queue",
+        "total_moves", "backlog_end"}) {
+    for (const char* value : {"1e30", "2.5"}) {
+      EXPECT_FALSE(steady_state_result_from_json(with_field(text, key, value),
+                                                 &parsed, &error))
+          << key << "=" << value;
+    }
+  }
 }
 
 TEST(Runner, CheckpointStoreResumesBitIdentically) {

@@ -2,10 +2,17 @@
 // router promises, observed on hand-built micro-scenarios.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+#include <tuple>
+
+#include "routing/dx.hpp"
 #include "routing/registry.hpp"
 #include "sim/engine.hpp"
 #include "sim/trace.hpp"
 #include "topo/mesh.hpp"
+#include "topo/registry.hpp"
 #include "workload/permutation.hpp"
 
 namespace mr {
@@ -116,7 +123,9 @@ TEST(WestFirst, WestLegIsStrictlyFirst) {
     const Coord cur = m.mesh.coord_of(path[i]);
     const bool west = cur.col < prev.col;
     if (!west) left_west_phase = true;
-    if (left_west_phase) EXPECT_FALSE(west);
+    if (left_west_phase) {
+      EXPECT_FALSE(west);
+    }
   }
 }
 
@@ -290,6 +299,121 @@ TEST(GreedyMatch, SaturatesMultipleOutlinks) {
     if (ev.kind == TraceEventKind::Move && ev.step == 1) ++first_step_moves;
   EXPECT_EQ(first_step_moves, 4);
 }
+
+// ---- DX adapter ----------------------------------------------------------
+
+/// Greedy DX router that checks, in every callback, that the adapter hands
+/// the policy the Sim's own node data, and logs what phases (a) and (c)
+/// see so the offers can be compared with the moves scheduled.
+class AdapterProbe final : public DxAlgorithm {
+ public:
+  const Sim* sim = nullptr;
+  std::set<NodeId> nodes;  ///< every node a callback ran for
+  /// Per step: the offer each phase-(a) decision should produce, and the
+  /// offers phase (c) was handed, in call order.
+  std::map<Step, std::vector<Offer>> expected, seen;
+  std::size_t widest = 0;  ///< most offers handed to one phase-(c) call
+
+  std::string name() const override { return "adapter-probe"; }
+
+ protected:
+  void dx_init(NodeCtx& ctx, std::span<PacketDxView>) override {
+    check(ctx);
+  }
+  void dx_plan_out(NodeCtx& ctx, std::span<const PacketDxView> resident,
+                   OutPlan& plan) override {
+    check(ctx);
+    for (const PacketDxView& v : resident) {
+      for (Dir d : kAllDirs) {
+        if (!mask_has(v.profitable, d) || plan.scheduled(d) != kInvalidPacket)
+          continue;
+        plan.schedule(d, v.id);
+        const NodeId to = sim->mesh().neighbor(ctx.node, d);
+        // A hop onto the destination is delivered, never offered.
+        if (sim->packet(v.id).dest != to)
+          expected[ctx.step].push_back(
+              Offer{v.id, ctx.node, to, d, v.profitable});
+        break;
+      }
+    }
+  }
+  void dx_plan_in(NodeCtx& ctx, std::span<const Offer> offers,
+                  InPlan& plan) override {
+    check(ctx);
+    seen[ctx.step].insert(seen[ctx.step].end(), offers.begin(), offers.end());
+    widest = std::max(widest, offers.size());
+    rotating_accept(ctx, ctx.state, offers, plan);
+  }
+  void dx_update(NodeCtx& ctx, std::span<PacketDxView>) override {
+    check(ctx);
+    ctx.state = (ctx.state + 1) % kNumDirs;
+  }
+
+ private:
+  void check(const NodeCtx& ctx) {
+    nodes.insert(ctx.node);
+    EXPECT_EQ(ctx.outlinks, sim->available_mask(ctx.node)) << ctx.node;
+    EXPECT_EQ(ctx.occupancy, sim->occupancy(ctx.node)) << ctx.node;
+    EXPECT_EQ(ctx.step, sim->step());
+    EXPECT_EQ(ctx.capacity, sim->queue_capacity());
+    EXPECT_FALSE(ctx.fault_mode);
+  }
+};
+
+class DxAdapter : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(DxAdapter, PoliciesSeeTheSimsNodeDataAndTheEnginesOffers) {
+  const auto topo = make_topology(GetParam(), 5, 4);
+  AdapterProbe probe;
+  Engine::Config config;
+  config.queue_capacity = 3;
+  Engine engine(*topo, config, probe);
+  probe.sim = &engine;
+  const NodeId n = topo->num_nodes();
+  // Two packets per node so that receivers see several offers at once.
+  for (NodeId u = 0; u < n; ++u) {
+    engine.add_packet(u, (7 * u + 3) % n);
+    engine.add_packet(u, n - 1 - u);
+  }
+  engine.prepare();
+  engine.run(200);
+  ASSERT_TRUE(engine.all_delivered());
+  EXPECT_EQ(probe.nodes.size(), static_cast<std::size_t>(n));
+
+  // Offers reach phase (c) as the engine built them: receivers ascending,
+  // and within a receiver by travel-direction index.
+  const auto order = [](const Offer& a, const Offer& b) {
+    return std::make_tuple(a.to, dir_index(a.dir)) <
+           std::make_tuple(b.to, dir_index(b.dir));
+  };
+  std::size_t offers = 0;
+  for (auto& [step, list] : probe.expected) {
+    std::sort(list.begin(), list.end(), order);
+    const std::vector<Offer>& got = probe.seen[step];
+    ASSERT_EQ(got.size(), list.size()) << "step " << step;
+    for (std::size_t i = 0; i < list.size(); ++i) {
+      EXPECT_EQ(got[i].packet, list[i].packet) << "step " << step;
+      EXPECT_EQ(got[i].from, list[i].from) << "step " << step;
+      EXPECT_EQ(got[i].to, list[i].to) << "step " << step;
+      EXPECT_EQ(got[i].dir, list[i].dir) << "step " << step;
+      EXPECT_EQ(got[i].profitable_from_sender, list[i].profitable_from_sender)
+          << "step " << step;
+    }
+    offers += list.size();
+  }
+  EXPECT_GT(offers, 0u);
+  EXPECT_GE(probe.widest, 2u);  // the order within a receiver is exercised
+  for (const auto& [step, list] : probe.seen)
+    EXPECT_TRUE(probe.expected.count(step) || list.empty()) << step;
+}
+
+INSTANTIATE_TEST_SUITE_P(Topologies, DxAdapter,
+                         ::testing::Values("mesh", "torus", "cmesh-4"),
+                         [](const auto& inf) {
+                           std::string s = inf.param;
+                           std::replace(s.begin(), s.end(), '-', '_');
+                           return s;
+                         });
 
 }  // namespace
 }  // namespace mr

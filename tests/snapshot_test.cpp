@@ -173,6 +173,40 @@ TEST(Snapshot, RejectsTruncatedPayload) {
   expect_kind(wire, SnapshotError::Kind::Format);
 }
 
+/// `wire` with the value of header field `key` replaced by `value`.
+std::string with_header_field(std::string wire, const std::string& key,
+                              const std::string& value) {
+  const std::string tag = "\"" + key + "\":";
+  const std::size_t at = wire.find(tag);
+  EXPECT_NE(at, std::string::npos) << key;
+  const std::size_t begin = at + tag.size();
+  const std::size_t end = wire.find_first_of(",}", begin);
+  return wire.replace(begin, end - begin, value);
+}
+
+TEST(Snapshot, RejectsNonIntegerHeaderFields) {
+  const std::string wire =
+      serialize_snapshot(sample_snapshot("dimension-order", 1));
+  // 1e30 used to be cast to int64 (undefined behaviour) and 2.5 truncated.
+  for (const char* key :
+       {"width", "height", "k", "shards", "step", "packets", "nodes",
+        "injections", "waiting", "payload_bytes"}) {
+    for (const char* value : {"1e30", "2.5", "-1e30", "\"6\""}) {
+      SCOPED_TRACE(std::string(key) + "=" + value);
+      expect_kind(with_header_field(wire, key, value),
+                  SnapshotError::Kind::Format);
+    }
+  }
+  // The engine's size fields are int32: 2^32 + 6 must not wrap to 6.
+  for (const char* key : {"width", "height", "k", "shards"}) {
+    SCOPED_TRACE(key);
+    expect_kind(with_header_field(wire, key, "4294967302"),
+                SnapshotError::Kind::Format);
+  }
+  // A well-formed replacement still parses.
+  EXPECT_NO_THROW((void)parse_snapshot(with_header_field(wire, "k", "4")));
+}
+
 TEST(Snapshot, RestoreRejectsMismatchedEngine) {
   const EngineSnapshot snap = sample_snapshot("dimension-order", 1);
   const std::unique_ptr<Topology> topo = make_topology("mesh", kN, kN);
