@@ -18,12 +18,12 @@ class AdaptiveAlternateRouter final : public DxAlgorithm {
   std::string name() const override { return "adaptive-alternate"; }
 
  protected:
-  void dx_init(NodeCtx& ctx, std::span<PacketDxView> resident) override;
-  void dx_plan_out(NodeCtx& ctx, std::span<const PacketDxView> resident,
+  void dx_init(NodeCtx& ctx, WritableDxResidents resident) override;
+  void dx_plan_out(const NodeCtx& ctx, DxResidents resident,
                    OutPlan& plan) override;
-  void dx_plan_in(NodeCtx& ctx, std::span<const Offer> offers,
+  void dx_plan_in(const NodeCtx& ctx, std::span<const Offer> offers,
                   InPlan& plan) override;
-  void dx_update(NodeCtx& ctx, std::span<PacketDxView> resident) override;
+  void dx_update(NodeCtx& ctx, WritableDxResidents resident) override;
 
  private:
   // packet state bit 0: preferred axis (0 = horizontal, 1 = vertical)
@@ -35,11 +35,11 @@ class GreedyMatchRouter final : public DxAlgorithm {
   std::string name() const override { return "greedy-match"; }
 
  protected:
-  void dx_plan_out(NodeCtx& ctx, std::span<const PacketDxView> resident,
+  void dx_plan_out(const NodeCtx& ctx, DxResidents resident,
                    OutPlan& plan) override;
-  void dx_plan_in(NodeCtx& ctx, std::span<const Offer> offers,
+  void dx_plan_in(const NodeCtx& ctx, std::span<const Offer> offers,
                   InPlan& plan) override;
-  void dx_update(NodeCtx& ctx, std::span<PacketDxView> resident) override;
+  void dx_update(NodeCtx& ctx, WritableDxResidents resident) override;
 };
 
 }  // namespace mr

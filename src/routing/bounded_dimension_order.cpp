@@ -8,20 +8,21 @@ constexpr DirMask kHorizontal = dir_bit(Dir::East) | dir_bit(Dir::West);
 
 /// The outlink this packet wants: straight continuation while horizontally
 /// profitable, else the turn into its destination column.
-bool wanted_dir(const PacketDxView& v, bool& straight, Dir& out) {
-  const Dir came_from = static_cast<Dir>(v.queue);  // inlink direction
+bool wanted_dir(PacketDxView v, bool& straight, Dir& out) {
+  const Dir came_from = static_cast<Dir>(v.queue());  // inlink direction
   const Dir travel = opposite(came_from);
-  if ((v.profitable & kHorizontal) != 0) {
+  const DirMask profitable = v.profitable();
+  if ((profitable & kHorizontal) != 0) {
     // Row phase. A row packet always continues in its travel direction
     // (minimality: the opposite row direction is never profitable).
-    out = mask_has(v.profitable, Dir::East) ? Dir::East : Dir::West;
+    out = mask_has(profitable, Dir::East) ? Dir::East : Dir::West;
     straight = (out == travel);
     return true;
   }
   // Column phase: turn (from a row queue) or continue (from a column queue).
-  if (mask_has(v.profitable, Dir::North)) {
+  if (mask_has(profitable, Dir::North)) {
     out = Dir::North;
-  } else if (mask_has(v.profitable, Dir::South)) {
+  } else if (mask_has(profitable, Dir::South)) {
     out = Dir::South;
   } else {
     return false;  // at destination; engine will have delivered it
@@ -32,8 +33,9 @@ bool wanted_dir(const PacketDxView& v, bool& straight, Dir& out) {
 
 }  // namespace
 
-void BoundedDimensionOrderRouter::dx_plan_out(
-    NodeCtx&, std::span<const PacketDxView> resident, OutPlan& plan) {
+void BoundedDimensionOrderRouter::dx_plan_out(const NodeCtx&,
+                                              DxResidents resident,
+                                              OutPlan& plan) {
   // Two passes: straight packets claim outlinks first (priority), then
   // turning packets fill what remains. Within a pass, `resident` order is
   // queue order = FIFO.
@@ -43,15 +45,16 @@ void BoundedDimensionOrderRouter::dx_plan_out(
   };
   std::array<Best, kNumDirs> straight_best;
   std::array<Best, kNumDirs> turn_best;
-  for (const PacketDxView& v : resident) {
+  for (const PacketDxView v : resident) {
     bool straight = false;
     Dir d;
     if (!wanted_dir(v, straight, d)) continue;
     auto& slot = straight ? straight_best[dir_index(d)]
                           : turn_best[dir_index(d)];
-    if (slot.p == kInvalidPacket || v.arrived_at < slot.arrived) {
-      slot.p = v.id;
-      slot.arrived = v.arrived_at;
+    const Step arrived = v.arrived_at();
+    if (slot.p == kInvalidPacket || arrived < slot.arrived) {
+      slot.p = v.id();
+      slot.arrived = arrived;
     }
   }
   for (Dir d : kAllDirs) {
@@ -64,12 +67,9 @@ void BoundedDimensionOrderRouter::dx_plan_out(
   }
 }
 
-void BoundedDimensionOrderRouter::dx_plan_in(NodeCtx& ctx,
+void BoundedDimensionOrderRouter::dx_plan_in(const NodeCtx& ctx,
                                              std::span<const Offer> offers,
                                              InPlan& plan) {
-  // Occupancy per inlink queue at the start of the step, precomputed by
-  // the engine's incremental counters.
-  const std::array<int, kNumDirs>& occupancy = ctx.inlink_occupancy;
   // The Theorem 15 guarantee behind unconditional column acceptance — a
   // non-empty column queue always ejects one packet this very step — is
   // void for the whole run once a fault schedule is installed, not just
@@ -81,14 +81,16 @@ void BoundedDimensionOrderRouter::dx_plan_in(NodeCtx& ctx,
   // after the window lifts. In fault mode the router falls back to
   // capacity-checked acceptance on every queue (reroute-or-stall: the
   // sender retries next step); fault-free runs are bit-identical.
-  const bool guaranteed_eject = !ctx.fault_mode;
+  const bool guaranteed_eject = !ctx.fault_mode();
   for (std::size_t i = 0; i < offers.size(); ++i) {
     const Dir travel = offers[i].dir;
-    const int queue = dir_index(opposite(travel));
+    const auto queue = static_cast<QueueTag>(dir_index(opposite(travel)));
     if (guaranteed_eject && (travel == Dir::North || travel == Dir::South)) {
       plan.accept[i] = true;
     } else {
-      plan.accept[i] = occupancy[queue] < ctx.capacity;
+      // Occupancy at the start of the step: the engine's per-inlink
+      // counters do not change during phase (c).
+      plan.accept[i] = ctx.inlink_occupancy(queue) < ctx.capacity;
     }
   }
 }

@@ -29,14 +29,14 @@ std::uint64_t decay_uses(std::uint64_t state) {
 
 }  // namespace
 
-void WestFirstRouter::dx_plan_out(NodeCtx& ctx,
-                                  std::span<const PacketDxView> resident,
+void WestFirstRouter::dx_plan_out(const NodeCtx& ctx, DxResidents resident,
                                   OutPlan& plan) {
-  for (const PacketDxView& v : resident) {
-    if (mask_has(v.profitable, Dir::West)) {
+  for (const PacketDxView v : resident) {
+    const DirMask profitable = v.profitable();
+    if (mask_has(profitable, Dir::West)) {
       // West-first: no adaptivity while a west hop is profitable.
       if (plan.scheduled(Dir::West) == kInvalidPacket)
-        plan.schedule(Dir::West, v.id);
+        plan.schedule(Dir::West, v.id());
       continue;
     }
     // Adaptive among N/E/S: least-recently-used outlink first.
@@ -44,7 +44,7 @@ void WestFirstRouter::dx_plan_out(NodeCtx& ctx,
     bool found = false;
     int best_use = 0;
     for (Dir d : {Dir::North, Dir::East, Dir::South}) {
-      if (!mask_has(v.profitable, d)) continue;
+      if (!mask_has(profitable, d)) continue;
       if (plan.scheduled(d) != kInvalidPacket) continue;
       const int use = use_count(ctx.state, d);
       if (!found || use < best_use) {
@@ -53,27 +53,27 @@ void WestFirstRouter::dx_plan_out(NodeCtx& ctx,
         best_use = use;
       }
     }
-    if (found) plan.schedule(best, v.id);
+    if (found) plan.schedule(best, v.id());
   }
 }
 
-void WestFirstRouter::dx_plan_in(NodeCtx& ctx,
+void WestFirstRouter::dx_plan_in(const NodeCtx& ctx,
                                  std::span<const Offer> offers,
                                  InPlan& plan) {
   rotating_accept(ctx, (ctx.state >> 8) & 0x3u, offers, plan);
 }
 
 void WestFirstRouter::dx_update(NodeCtx& ctx,
-                                std::span<PacketDxView> resident) {
+                                WritableDxResidents resident) {
   std::uint64_t state = decay_uses(ctx.state);
   // Outlinks whose packets left are inferable from the packets that
   // remain/arrived — here we use arrivals as the congestion proxy: a
   // packet that arrived this step came through the opposite outlink of
   // some neighbour; we bump the inlink direction's counter so future
   // adaptive choices spread away from busy corridors.
-  for (const PacketDxView& v : resident) {
-    if (v.arrived_at == ctx.step && v.arrival_inlink < kNumDirs)
-      state = bump_use(state, static_cast<Dir>(v.arrival_inlink));
+  for (const WritablePacketDxView v : resident) {
+    if (v.arrived_at() == ctx.step && v.arrival_inlink() < kNumDirs)
+      state = bump_use(state, static_cast<Dir>(v.arrival_inlink()));
   }
   // Advance the rotating inqueue pointer.
   const std::uint64_t pointer = ((ctx.state >> 8) + 1) & 0x3u;

@@ -20,11 +20,11 @@ class WestFirstRouter final : public DxAlgorithm {
   std::string name() const override { return "west-first"; }
 
  protected:
-  void dx_plan_out(NodeCtx& ctx, std::span<const PacketDxView> resident,
+  void dx_plan_out(const NodeCtx& ctx, DxResidents resident,
                    OutPlan& plan) override;
-  void dx_plan_in(NodeCtx& ctx, std::span<const Offer> offers,
+  void dx_plan_in(const NodeCtx& ctx, std::span<const Offer> offers,
                   InPlan& plan) override;
-  void dx_update(NodeCtx& ctx, std::span<PacketDxView> resident) override;
+  void dx_update(NodeCtx& ctx, WritableDxResidents resident) override;
 };
 
 }  // namespace mr

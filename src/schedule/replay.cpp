@@ -4,13 +4,12 @@
 
 namespace mr {
 
-void ScheduleFollower::dx_plan_out(NodeCtx& ctx,
-                                   std::span<const PacketDxView> resident,
+void ScheduleFollower::dx_plan_out(const NodeCtx& ctx, DxResidents resident,
                                    OutPlan& plan) {
-  for (const PacketDxView& view : resident) {
-    const std::size_t i = static_cast<std::size_t>(view.id);
+  for (const PacketDxView view : resident) {
+    const std::size_t i = static_cast<std::size_t>(view.id());
     MR_REQUIRE_MSG(i < schedule_->packets.size(),
-                   "packet " << view.id << " has no timetable");
+                   "packet " << view.id() << " has no timetable");
     const PacketSchedule& p = schedule_->packets[i];
     const auto it =
         std::lower_bound(p.depart.begin(), p.depart.end(), ctx.step);
@@ -18,15 +17,16 @@ void ScheduleFollower::dx_plan_out(NodeCtx& ctx,
     const std::size_t h =
         static_cast<std::size_t>(it - p.depart.begin());
     MR_REQUIRE_MSG(p.path.nodes[h] == ctx.node,
-                   "packet " << view.id << " is at node " << ctx.node
+                   "packet " << view.id() << " is at node " << ctx.node
                              << " at step " << ctx.step
                              << " but its timetable places it at "
                              << p.path.nodes[h]);
-    plan.schedule(p.path.dirs[h], view.id);
+    plan.schedule(p.path.dirs[h], view.id());
   }
 }
 
-void ScheduleFollower::dx_plan_in(NodeCtx&, std::span<const Offer> offers,
+void ScheduleFollower::dx_plan_in(const NodeCtx&,
+                                  std::span<const Offer> offers,
                                   InPlan& plan) {
   // A feasible schedule never exceeds required_queue_capacity(), and
   // replay_schedule sizes the engine to exactly that bound, so every

@@ -43,9 +43,9 @@ class ScheduleFollower final : public DxAlgorithm {
   bool minimal() const override { return true; }
 
  protected:
-  void dx_plan_out(NodeCtx& ctx, std::span<const PacketDxView> resident,
+  void dx_plan_out(const NodeCtx& ctx, DxResidents resident,
                    OutPlan& plan) override;
-  void dx_plan_in(NodeCtx& ctx, std::span<const Offer> offers,
+  void dx_plan_in(const NodeCtx& ctx, std::span<const Offer> offers,
                   InPlan& plan) override;
 
  private:

@@ -22,9 +22,6 @@ class Mesh final : public Topology {
     return Mesh(n, n, torus);
   }
 
-  /// Legacy alias for mr::Delta (pre-Topology call sites).
-  using Delta = mr::Delta;
-
   std::string name() const override { return is_torus() ? "torus" : "mesh"; }
 
   std::unique_ptr<Topology> clone() const override {

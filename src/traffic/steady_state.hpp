@@ -103,8 +103,7 @@ struct SteadyStateResult {
 };
 
 /// Builds the network a steady-state spec routes on: the named registry
-/// topology, or the legacy mesh/torus selection when spec.topology is
-/// empty.
+/// topology, or the plain mesh when spec.topology is empty.
 std::unique_ptr<Topology> steady_state_topology(const SteadyStateSpec& spec);
 
 /// Runs the protocol with a fresh source built from (spec.traffic,

@@ -127,8 +127,13 @@ INSTANTIATE_TEST_SUITE_P(Sweep, Theorem15Shape,
                                            ShapeParam{24, 1},
                                            ShapeParam{24, 3}),
                          [](const auto& inf) {
-                           return "n" + std::to_string(inf.param.n) + "_k" +
-                                  std::to_string(inf.param.k);
+                           // Appends, not operator+ chains: GCC 12 warns
+                           // -Wrestrict on the latter at -O3.
+                           std::string name = "n";
+                           name += std::to_string(inf.param.n);
+                           name += "_k";
+                           name += std::to_string(inf.param.k);
+                           return name;
                          });
 
 TEST(BoundedDo, RowPacketsNeverEnterColumnQueuesEarly) {

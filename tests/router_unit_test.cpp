@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <concepts>
 #include <map>
+#include <ranges>
 #include <set>
 #include <tuple>
 
@@ -303,8 +305,8 @@ TEST(GreedyMatch, SaturatesMultipleOutlinks) {
 // ---- DX adapter ----------------------------------------------------------
 
 /// Greedy DX router that checks, in every callback, that the adapter hands
-/// the policy the Sim's own node data, and logs what phases (a) and (c)
-/// see so the offers can be compared with the moves scheduled.
+/// the policy the Sim's own node and packet data, and logs what phases (a)
+/// and (c) see so the offers can be compared with the moves scheduled.
 class AdapterProbe final : public DxAlgorithm {
  public:
   const Sim* sim = nullptr;
@@ -313,52 +315,113 @@ class AdapterProbe final : public DxAlgorithm {
   /// offers phase (c) was handed, in call order.
   std::map<Step, std::vector<Offer>> expected, seen;
   std::size_t widest = 0;  ///< most offers handed to one phase-(c) call
+  /// Resident views compared with the Sim's records, per phase.
+  std::size_t init_views = 0, plan_out_views = 0, update_views = 0;
 
   std::string name() const override { return "adapter-probe"; }
 
- protected:
-  void dx_init(NodeCtx& ctx, std::span<PacketDxView>) override {
-    check(ctx);
+  /// True if phases (a) and (c) can be called with a `Ctx&` context.
+  template <class Ctx>
+  static constexpr bool plans_take() {
+    return requires(AdapterProbe& a, Ctx& ctx, DxResidents resident,
+                    OutPlan& out, std::span<const Offer> offers, InPlan& in) {
+      a.dx_plan_out(ctx, resident, out);
+      a.dx_plan_in(ctx, offers, in);
+    };
   }
-  void dx_plan_out(NodeCtx& ctx, std::span<const PacketDxView> resident,
+
+ protected:
+  void dx_init(NodeCtx& ctx, WritableDxResidents resident) override {
+    check(ctx);
+    init_views += check_views(ctx, resident);
+  }
+  void dx_plan_out(const NodeCtx& ctx, DxResidents resident,
                    OutPlan& plan) override {
     check(ctx);
-    for (const PacketDxView& v : resident) {
+    plan_out_views += check_views(ctx, resident);
+    for (const PacketDxView v : resident) {
       for (Dir d : kAllDirs) {
-        if (!mask_has(v.profitable, d) || plan.scheduled(d) != kInvalidPacket)
+        if (!mask_has(v.profitable(), d) ||
+            plan.scheduled(d) != kInvalidPacket)
           continue;
-        plan.schedule(d, v.id);
+        plan.schedule(d, v.id());
         const NodeId to = sim->mesh().neighbor(ctx.node, d);
         // A hop onto the destination is delivered, never offered.
-        if (sim->packet(v.id).dest != to)
+        if (sim->packet(v.id()).dest != to)
           expected[ctx.step].push_back(
-              Offer{v.id, ctx.node, to, d, v.profitable});
+              Offer{v.id(), ctx.node, to, d, v.profitable()});
         break;
       }
     }
   }
-  void dx_plan_in(NodeCtx& ctx, std::span<const Offer> offers,
+  void dx_plan_in(const NodeCtx& ctx, std::span<const Offer> offers,
                   InPlan& plan) override {
     check(ctx);
     seen[ctx.step].insert(seen[ctx.step].end(), offers.begin(), offers.end());
     widest = std::max(widest, offers.size());
     rotating_accept(ctx, ctx.state, offers, plan);
   }
-  void dx_update(NodeCtx& ctx, std::span<PacketDxView>) override {
+  void dx_update(NodeCtx& ctx, WritableDxResidents resident) override {
     check(ctx);
+    update_views += check_views(ctx, resident);
+    // A state write lands in the Sim's record at once.
+    for (const WritablePacketDxView v : resident) {
+      const std::uint64_t s = v.state() + 1;
+      v.set_state(s);
+      EXPECT_EQ(sim->packet(v.id()).state, s);
+    }
     ctx.state = (ctx.state + 1) % kNumDirs;
   }
 
  private:
   void check(const NodeCtx& ctx) {
     nodes.insert(ctx.node);
-    EXPECT_EQ(ctx.outlinks, sim->available_mask(ctx.node)) << ctx.node;
-    EXPECT_EQ(ctx.occupancy, sim->occupancy(ctx.node)) << ctx.node;
+    const DirMask links = sim->available_mask(ctx.node);
+    for (Dir d : kAllDirs)
+      EXPECT_EQ(ctx.has_outlink(d), mask_has(links, d)) << ctx.node;
+    EXPECT_EQ(ctx.occupancy(), sim->occupancy(ctx.node)) << ctx.node;
     EXPECT_EQ(ctx.step, sim->step());
     EXPECT_EQ(ctx.capacity, sim->queue_capacity());
-    EXPECT_FALSE(ctx.fault_mode);
+    EXPECT_FALSE(ctx.fault_mode());
+  }
+
+  /// The range yields exactly packets_at(node), in order, and every
+  /// accessor reads the Sim's record. Returns the number of views.
+  template <class Residents>
+  std::size_t check_views(const NodeCtx& ctx, Residents resident) {
+    const std::span<const PacketId> ids = sim->packets_at(ctx.node);
+    EXPECT_EQ(resident.size(), ids.size()) << ctx.node;
+    std::size_t i = 0;
+    for (const auto v : resident) {
+      if (i == ids.size()) break;
+      const PacketId p = ids[i++];
+      const Packet& pk = sim->packet(p);
+      EXPECT_EQ(v.id(), p);
+      EXPECT_EQ(v.state(), pk.state);
+      EXPECT_EQ(v.arrived_at(), pk.arrived_at);
+      EXPECT_EQ(v.queue(), pk.queue);
+      EXPECT_EQ(v.arrival_inlink(), pk.arrival_inlink);
+      EXPECT_EQ(v.profitable(), sim->profitable_mask(p));
+    }
+    return i;
   }
 };
+
+// Only the views handed to dx_init/dx_update can write packet state, and
+// phases (a) and (c) receive a const context, so a state write there does
+// not compile.
+template <class V>
+concept SetsPacketState = requires(const V& v) { v.set_state(1u); };
+template <class Ctx>
+concept SetsNodeState = requires(Ctx& ctx) { ctx.state = 1u; };
+static_assert(std::same_as<std::ranges::range_value_t<DxResidents>,
+                           PacketDxView>);
+static_assert(std::same_as<std::ranges::range_value_t<WritableDxResidents>,
+                           WritablePacketDxView>);
+static_assert(!SetsPacketState<PacketDxView>);
+static_assert(SetsPacketState<WritablePacketDxView>);
+static_assert(AdapterProbe::plans_take<const DxAlgorithm::NodeCtx>());
+static_assert(!SetsNodeState<const DxAlgorithm::NodeCtx>);
 
 class DxAdapter : public ::testing::TestWithParam<const char*> {};
 
@@ -379,6 +442,9 @@ TEST_P(DxAdapter, PoliciesSeeTheSimsNodeDataAndTheEnginesOffers) {
   engine.run(200);
   ASSERT_TRUE(engine.all_delivered());
   EXPECT_EQ(probe.nodes.size(), static_cast<std::size_t>(n));
+  EXPECT_EQ(probe.init_views, 2 * static_cast<std::size_t>(n));
+  EXPECT_GT(probe.plan_out_views, 0u);
+  EXPECT_GT(probe.update_views, 0u);
 
   // Offers reach phase (c) as the engine built them: receivers ascending,
   // and within a receiver by travel-direction index.

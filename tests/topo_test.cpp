@@ -108,7 +108,7 @@ void check_wrap_ties(const Mesh& t) {
       const std::int32_t fwd_row = ((cb.row - ca.row) % h + h) % h;
       const bool col_tie = w % 2 == 0 && fwd_col == w / 2;
       const bool row_tie = h % 2 == 0 && fwd_row == h / 2;
-      const Mesh::Delta d = t.delta(a, b);
+      const Delta d = t.delta(a, b);
       EXPECT_EQ(d.east_tie, col_tie) << a << "->" << b;
       EXPECT_EQ(d.north_tie, row_tie) << a << "->" << b;
       const DirMask mask = t.profitable_dirs(a, b);
@@ -144,7 +144,7 @@ TEST(Mesh, OddTorusNeverTies) {
   const Mesh t(5, 7, /*torus=*/true);
   for (NodeId a = 0; a < t.num_nodes(); ++a)
     for (NodeId b = 0; b < t.num_nodes(); ++b) {
-      const Mesh::Delta d = t.delta(a, b);
+      const Delta d = t.delta(a, b);
       EXPECT_FALSE(d.east_tie);
       EXPECT_FALSE(d.north_tie);
     }
@@ -154,7 +154,7 @@ TEST(Mesh, FlatMeshNeverTies) {
   const Mesh m = Mesh::square(8);
   for (NodeId a = 0; a < m.num_nodes(); ++a)
     for (NodeId b = 0; b < m.num_nodes(); ++b) {
-      const Mesh::Delta d = m.delta(a, b);
+      const Delta d = m.delta(a, b);
       EXPECT_FALSE(d.east_tie);
       EXPECT_FALSE(d.north_tie);
     }
