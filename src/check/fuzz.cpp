@@ -259,30 +259,27 @@ std::string run_fuzz_case(const FuzzCase& c) {
     config.stall_limit = kFuzzStallLimit;
     config.shards = c.shards;
     config.threads = c.threads;
-    Engine opt(*topo, config, [&] { return make_algorithm(c.algorithm); });
+    const auto make_engine = [&] {
+      return Engine(*topo, config,
+                    [&] { return make_algorithm(c.algorithm); });
+    };
+    Engine opt = make_engine();
     ReferenceEngine ref(*topo, c.k, kFuzzStallLimit, *algo_ref);
 
-    // Same fault schedule in both engines: the reroute-or-stall decisions
-    // (dropped moves, deferred injections, availability-masked planning)
-    // must be bit-identical, and both land in the step digest the hashers
-    // compare below.
-    if (!c.faults.empty()) {
-      opt.set_fault_schedule(c.faults);
-      ref.set_fault_schedule(c.faults);
-    }
-
-    for (const Demand& d : c.demands) {
-      opt.add_packet(d.source, d.dest, d.injected_at);
-      ref.add_packet(d.source, d.dest, d.injected_at);
-    }
-    for (const Demand& d : lk_demands(c)) {
-      opt.add_packet(d.source, d.dest, d.injected_at);
-      ref.add_packet(d.source, d.dest, d.injected_at);
-    }
-    for (const Demand& d : traffic_demands(c)) {
-      opt.add_packet(d.source, d.dest, d.injected_at);
-      ref.add_packet(d.source, d.dest, d.injected_at);
-    }
+    // Same fault schedule and packets in every engine: the reroute-or-stall
+    // decisions (dropped moves, deferred injections, availability-masked
+    // planning) must be bit-identical, and both land in the step digest
+    // the hashers compare below.
+    const Workload lk = lk_demands(c);
+    const Workload traffic = traffic_demands(c);
+    const auto load = [&](auto& engine) {
+      if (!c.faults.empty()) engine.set_fault_schedule(c.faults);
+      for (const Workload* w : {&c.demands, &lk, &traffic})
+        for (const Demand& d : *w)
+          engine.add_packet(d.source, d.dest, d.injected_at);
+    };
+    load(opt);
+    load(ref);
 
     // Oracles watch the optimized engine; the queue-bound oracle also
     // watches the reference (its occupancy accessor is an independent
@@ -356,6 +353,22 @@ std::string run_fuzz_case(const FuzzCase& c) {
           << "/" << ref.total_moves() << ", max-occupancy "
           << opt.max_occupancy_seen() << "/" << ref.max_occupancy_seen()
           << ", steps " << opt.step() << "/" << ref.step();
+      return err.str();
+    }
+
+    // The lock-step loop only calls step_once, so it never jumps a frozen
+    // network. Replay the case through run(), unobserved, which does.
+    Engine replay = make_engine();
+    load(replay);
+    replay.prepare();
+    replay.run(c.budget);
+    if (replay.step() != ref.step() || replay.stalled() != ref.stalled() ||
+        replay.delivered_count() != ref.delivered_count() ||
+        replay.fingerprint() != ref.fingerprint()) {
+      err << "run() divergence: steps " << replay.step() << "/" << ref.step()
+          << ", stalled " << replay.stalled() << "/" << ref.stalled()
+          << ", delivered " << replay.delivered_count() << "/"
+          << ref.delivered_count();
       return err.str();
     }
 

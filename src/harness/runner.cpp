@@ -1,5 +1,6 @@
 #include "harness/runner.hpp"
 
+#include <algorithm>
 #include <optional>
 
 #include "check/adversary.hpp"
@@ -152,7 +153,9 @@ RunResult run_workload(const RunSpec& spec, const Workload& workload,
   };
 
   // The stepping loops mirror Engine::run / run_to_drain exactly, with a
-  // snapshot dropped every ckpt.every steps.
+  // snapshot dropped every ckpt.every steps. The batch loop jumps a frozen
+  // network like Engine::run, but never past the next checkpoint step, so
+  // snapshots land on the same steps with the same contents.
   if (pump) {
     while (!engine.stalled() && engine.step() < budget) {
       pump->advance();
@@ -165,6 +168,11 @@ RunResult run_workload(const RunSpec& spec, const Workload& workload,
            engine.step() < budget) {
       if (!engine.step_once()) break;
       maybe_checkpoint();
+      const Step next_checkpoint =
+          ckpt.enabled() ? (engine.step() / ckpt.every + 1) * ckpt.every
+                         : budget;
+      if (engine.skip_frozen(std::min(budget, next_checkpoint)) > 0)
+        maybe_checkpoint();
     }
   }
 

@@ -16,6 +16,7 @@ namespace mr {
 class AdaptiveAlternateRouter final : public DxAlgorithm {
  public:
   std::string name() const override { return "adaptive-alternate"; }
+  bool stationary() const override { return true; }
 
  protected:
   void dx_init(NodeCtx& ctx, WritableDxResidents resident) override;
@@ -33,6 +34,7 @@ class AdaptiveAlternateRouter final : public DxAlgorithm {
 class GreedyMatchRouter final : public DxAlgorithm {
  public:
   std::string name() const override { return "greedy-match"; }
+  bool stationary() const override { return true; }
 
  protected:
   void dx_plan_out(const NodeCtx& ctx, DxResidents resident,

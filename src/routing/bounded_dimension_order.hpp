@@ -22,6 +22,7 @@ namespace mr {
 class BoundedDimensionOrderRouter final : public DxAlgorithm {
  public:
   std::string name() const override { return "bounded-dimension-order"; }
+  bool stationary() const override { return true; }
   QueueLayout queue_layout() const override { return QueueLayout::PerInlink; }
 
  protected:

@@ -14,6 +14,7 @@ namespace mr {
 class DimensionOrderRouter final : public DxAlgorithm {
  public:
   std::string name() const override { return "dimension-order"; }
+  bool stationary() const override { return true; }
 
  protected:
   void dx_plan_out(const NodeCtx& ctx, DxResidents resident,

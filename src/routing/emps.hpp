@@ -30,6 +30,7 @@ namespace mr {
 class EmpsRouter final : public Algorithm {
  public:
   std::string name() const override { return "emps"; }
+  bool stationary() const override { return true; }
   QueueLayout queue_layout() const override { return QueueLayout::PerInlink; }
 
   void plan_out(Sim& e, NodeId u, OutPlan& plan) override;

@@ -16,6 +16,7 @@ namespace mr {
 class FarthestFirstRouter final : public Algorithm {
  public:
   std::string name() const override { return "farthest-first"; }
+  bool stationary() const override { return true; }
 
   void plan_out(Sim& e, NodeId u, OutPlan& plan) override;
   void plan_in(Sim& e, NodeId v, std::span<const Offer> offers,

@@ -29,6 +29,7 @@ class StrayRouter final : public DxAlgorithm {
   std::string name() const override {
     return "stray-" + std::to_string(delta_);
   }
+  bool stationary() const override { return true; }
   bool minimal() const override { return delta_ == 0; }
   int max_stray() const override { return delta_; }
 

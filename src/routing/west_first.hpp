@@ -18,6 +18,7 @@ namespace mr {
 class WestFirstRouter final : public DxAlgorithm {
  public:
   std::string name() const override { return "west-first"; }
+  bool stationary() const override { return true; }
 
  protected:
   void dx_plan_out(const NodeCtx& ctx, DxResidents resident,

@@ -73,6 +73,15 @@ class Algorithm {
   /// style). Ignored when minimal() is true.
   virtual int max_stray() const { return -1; }
 
+  /// True when every decision (plan_out, plan_in, update_state) reads only
+  /// the Sim's packet records, node states, occupancy and topology, reads
+  /// the step number only as `arrived_at == step`, and the object keeps no
+  /// state of its own that changes between steps. Under such an algorithm
+  /// a network that moves nothing and returns to an earlier configuration
+  /// repeats it forever, so the engine may skip whole periods of it
+  /// (Engine::skip_frozen). Default false: the engine executes every step.
+  virtual bool stationary() const { return false; }
+
   /// Called once before step 1, after initial packets are placed. The
   /// initial states set here may, for DX algorithms, depend only on the
   /// §2-legal fields.

@@ -16,7 +16,8 @@ Engine::Engine(const Topology& topo, Config config, Algorithm& algorithm)
       stall_limit_(config.stall_limit),
       stall_counts_pending_(config.stall_counts_pending_injections),
       enforce_minimal_(algorithm.minimal()),
-      max_stray_(algorithm.max_stray()) {
+      max_stray_(algorithm.max_stray()),
+      stationary_(algorithm.stationary()) {
   init_engine(config);
   // A single shared Algorithm instance may hold per-call scratch, so the
   // bands must run serially; concurrent planning needs per-band instances.
@@ -37,7 +38,8 @@ Engine::Engine(const Topology& topo, Config config,
       stall_limit_(config.stall_limit),
       stall_counts_pending_(config.stall_counts_pending_injections),
       enforce_minimal_(first->minimal()),
-      max_stray_(first->max_stray()) {
+      max_stray_(first->max_stray()),
+      stationary_(first->stationary()) {
   owned_algorithms_.push_back(std::move(first));
   init_engine(config);
   for (int s = 1; s < num_shards_; ++s) {
@@ -45,7 +47,7 @@ Engine::Engine(const Topology& topo, Config config,
     Algorithm& a = *owned_algorithms_.back();
     MR_REQUIRE_MSG(
         a.queue_layout() == layout_ && a.minimal() == enforce_minimal_ &&
-            a.max_stray() == max_stray_,
+            a.max_stray() == max_stray_ && a.stationary() == stationary_,
         "AlgorithmFactory must produce identically configured instances");
     shard_algorithms_[static_cast<std::size_t>(s)] = &a;
   }
@@ -676,6 +678,16 @@ bool Engine::step_once() {
     stall_run_ = 0;
   }
 
+  // An idle step — no move, delivery or injection, and no exchange, as
+  // there is no interceptor — may belong to a frozen network; any other
+  // step restarts the period search.
+  if (moved_this_step == 0 && injected_this_step_ == 0 &&
+      frozen_jump_allowed()) {
+    track_frozen();
+  } else {
+    frozen_.reset();
+  }
+
   if (observed) {
     // Digest assembly: band concatenation gives the global order —
     // deliveries ascend in the sending node, accepted hops in the
@@ -720,8 +732,63 @@ bool Engine::step_once() {
 Step Engine::run(Step max_steps) {
   while (!all_delivered() && !stalled_ && step_ < max_steps) {
     if (!step_once()) break;
+    skip_frozen(max_steps);
   }
   return step_;
+}
+
+bool Engine::frozen_jump_allowed() const {
+  if (!stationary_ || interceptor_ != nullptr || !observers_.empty())
+    return false;
+  // Future-dated or waiting injections would change the configuration.
+  if (injection_cursor_ != injections_.size()) return false;
+  for (const Shard& sh : shards_)
+    if (!sh.waiting.empty()) return false;
+  // No fault-window boundary ahead: the epoch of the far future (every
+  // down_at and finite up_at passed) is the one applied to this step.
+  return fault_schedule_.empty() ||
+         fault_schedule_.epoch_at(kStepNever - 1) == fault_epoch_;
+}
+
+// Brent's algorithm, one idle step at a time: the tortoise is re-saved at
+// distances 1, 2, 4, ... and the first match gives the period. While
+// nothing moves, the next step is a function of the state words alone
+// (the trait's contract), so a repeat at distance p repeats forever.
+void Engine::track_frozen() {
+  FrozenTracker& f = frozen_;
+  if (f.period > 0) return;
+  if (f.power == 0) {
+    f.power = 1;
+  } else {
+    ++f.distance;
+    bool same = node_state_ == f.node_states;
+    for (std::size_t i = 0; same && i < packets_.size(); ++i)
+      same = packets_[i].state == f.packet_states[i];
+    if (same) {
+      f.period = f.distance;
+      return;
+    }
+    if (f.distance < f.power) return;
+    f.power *= 2;
+  }
+  f.node_states = node_state_;
+  f.packet_states.resize(packets_.size());
+  for (std::size_t i = 0; i < packets_.size(); ++i)
+    f.packet_states[i] = packets_[i].state;
+  f.distance = 0;
+}
+
+Step Engine::skip_frozen(Step until) {
+  const Step period = frozen_.period;
+  if (period == 0 || stalled_ || !frozen_jump_allowed()) return 0;
+  Step room = until - step_;
+  if (stall_limit_ > 0) room = std::min(room, stall_limit_ - 1 - stall_run_);
+  if (room < period) return 0;
+  const Step skipped = room / period * period;
+  step_ += skipped;
+  stall_run_ += skipped;
+  if (profiling_) phase_profile_.skipped_steps += skipped;
+  return skipped;
 }
 
 void Engine::check_capacity_after_transmit(NodeId v) {

@@ -86,7 +86,11 @@ constexpr const char* phase_name(StepPhase p) {
 struct PhaseProfile {
   std::array<double, kNumPhases> seconds{};
   double total_seconds = 0;
-  std::int64_t steps = 0;
+  std::int64_t steps = 0;  ///< executed (and timed) steps
+  /// Steps of a frozen network jumped over by Engine::skip_frozen: counted
+  /// by step() but never executed, so per-step averages stay over `steps`.
+  /// For a run profiled from prepare(), steps + skipped_steps == step().
+  std::int64_t skipped_steps = 0;
 
   double phase_seconds_sum() const {
     double s = 0;
@@ -105,7 +109,11 @@ class Engine : public Sim {
     /// Packets waiting outside the network for a full source queue do NOT
     /// defer the check: they can only enter once something moves, so
     /// counting those steps is what detects a deadlocked network with a
-    /// non-empty external buffer.
+    /// non-empty external buffer. A frozen network under a stationary()
+    /// algorithm does not spin the whole limit: run() jumps over whole
+    /// periods of it (skip_frozen) and executes the step that trips the
+    /// limit, so step(), stalled() and every counter are those of the
+    /// step-by-step run.
     Step stall_limit = kDefaultStallLimit;
     /// Open-loop stall policy: when true, a step with no movement and no
     /// successful injection counts toward stall_limit even while
@@ -131,8 +139,11 @@ class Engine : public Sim {
   /// Creates per-band Algorithm instances so bands can plan concurrently
   /// (Algorithm implementations may keep per-call scratch and are not
   /// required to be thread-safe across nodes). All instances must be
-  /// identically configured; only the first is init()ed, so algorithm
-  /// state must live in the Sim (true for every in-tree algorithm).
+  /// identically configured; only the first is init()ed, so a multi-band
+  /// algorithm must keep its state in the Sim (node and packet state
+  /// words), as every registry router does. FastRoute keeps per-packet
+  /// and per-node state in the object, so it runs through the borrowed-
+  /// algorithm constructor, whose one instance plans every band serially.
   using AlgorithmFactory = std::function<std::unique_ptr<Algorithm>()>;
 
   Engine(const Topology& topo, Config config, Algorithm& algorithm);
@@ -189,7 +200,25 @@ class Engine : public Sim {
 
   /// Steps until all packets are delivered or max_steps executed or the
   /// stall limit trips. Returns the number of the last executed step.
+  /// Jumps over whole periods of a frozen network (skip_frozen), with the
+  /// same result as executing them.
   Step run(Step max_steps);
+
+  /// Frozen-network jump. After each idle step — nothing moved, delivered,
+  /// injected or exchanged — taken with no injection pending, no packet
+  /// waiting outside the network, no fault-window boundary ahead, no
+  /// interceptor or observer attached and a stationary() algorithm, the
+  /// engine compares the node and packet state words with a saved copy
+  /// (Brent's cycle detection) until it finds the period p with which the
+  /// configuration repeats. Everything else the algorithm reads is fixed
+  /// while nothing moves, so the network then repeats that period for
+  /// good. skip_frozen advances step() and the stall run by the largest
+  /// multiple of p that keeps step() <= until and the stall run below
+  /// stall_limit, leaving the configuration exactly as those steps would
+  /// have; the fewer-than-p steps left, including the one that trips the
+  /// stall, must be executed. Returns the number of steps skipped (0
+  /// when no period is known or the conditions above no longer hold).
+  Step skip_frozen(Step until);
 
   // --- checkpointing (sim/snapshot.hpp) ----------------------------------
   /// Captures the complete between-steps state as an EngineSnapshot. Only
@@ -333,6 +362,12 @@ class Engine : public Sim {
   /// Phase (b): hands the scheduled moves to the interceptor and re-checks
   /// minimality of every move afterwards.
   void run_interceptor(std::span<const ScheduledMove> moves);
+  /// Whether the configuration after the step just executed may be tracked
+  /// for skip_frozen: the conditions of its contract other than idleness.
+  bool frozen_jump_allowed() const;
+  /// Brent's cycle detection over the state words, one call per idle
+  /// step; sets frozen_.period once the configuration repeats.
+  void track_frozen();
   /// Runs fn(s) for every band, on the pool when one exists and inline
   /// otherwise. A full barrier; exceptions rethrow from the lowest band
   /// index.
@@ -356,6 +391,7 @@ class Engine : public Sim {
   bool stall_counts_pending_;
   bool enforce_minimal_;
   int max_stray_ = -1;  ///< §5 nonminimal containment (when not minimal)
+  bool stationary_;     ///< Algorithm::stationary() (see skip_frozen)
 
   /// PerInlink layout only: occupancy counter per (node, inlink queue),
   /// updated in place_packet/remove_from_node.
@@ -380,6 +416,26 @@ class Engine : public Sim {
 
   bool profiling_ = false;
   PhaseProfile phase_profile_;
+
+  /// Frozen-network detection (skip_frozen). Brent's tortoise is a copy of
+  /// node_state_ and of every packet's state word, taken `distance` idle
+  /// steps ago; it is re-taken whenever distance reaches `power`, which
+  /// then doubles (power 0: no copy yet). `period` > 0 once the
+  /// configuration has repeated. Reset by any step that is not idle under
+  /// the jump's conditions.
+  struct FrozenTracker {
+    Step power = 0;
+    Step distance = 0;
+    Step period = 0;
+    std::vector<std::uint64_t> node_states;
+    std::vector<std::uint64_t> packet_states;
+
+    void reset() {
+      power = 0;
+      period = 0;
+    }
+  };
+  FrozenTracker frozen_;
 
   /// Multi-band only: the concatenated per-band active lists, rebuilt
   /// lazily inside const active_nodes() when active_cache_valid_ is false.

@@ -138,6 +138,7 @@ void Engine::restore(const EngineSnapshot& snap) {
   max_occupancy_seen_ = snap.max_occupancy_seen;
   total_moves_ = snap.total_moves;
   stall_run_ = snap.stall_run;
+  frozen_.reset();
   injected_this_step_ = 0;
   injected_deliveries_.clear();
 

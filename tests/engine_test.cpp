@@ -227,6 +227,35 @@ TEST(Engine, InterceptorTimeIsBookedToItsPhase) {
             static_cast<double>(e.step()) * 50e-6);
 }
 
+TEST(Engine, FrozenNetworkStepsAreSkippedNotTimed) {
+  // Four packets on a 2×2 mesh with k = 1, each bound for the opposite
+  // corner: every queue is full and every first hop targets a full
+  // neighbour, so nothing moves from step 1. run() jumps whole periods of
+  // the frozen network; the profile counts them apart from the executed,
+  // timed steps.
+  const Mesh m = Mesh::square(2);
+  DimensionOrderRouter algo;
+  Engine::Config config = cfg(1);
+  config.stall_limit = 1000;
+  Engine e(m, config, algo);
+  e.add_packet(m.id_of(0, 0), m.id_of(1, 1));
+  e.add_packet(m.id_of(1, 0), m.id_of(0, 1));
+  e.add_packet(m.id_of(1, 1), m.id_of(0, 0));
+  e.add_packet(m.id_of(0, 1), m.id_of(1, 0));
+  e.set_phase_profiling(true);
+  e.prepare();
+  EXPECT_EQ(e.run(100000), 1000);  // the 1000th idle step trips the stall
+  EXPECT_TRUE(e.stalled());
+  EXPECT_EQ(e.delivered_count(), 0u);
+  const PhaseProfile& profile = e.phase_profile();
+  EXPECT_EQ(profile.steps + profile.skipped_steps, e.step());
+  // The rotating inqueue pointer repeats every 4 steps. Detection takes a
+  // few steps, and the part period before the stall is executed.
+  EXPECT_EQ(profile.skipped_steps % 4, 0);
+  EXPECT_GT(profile.skipped_steps, 900);
+  EXPECT_GT(profile.total_seconds, 0.0);
+}
+
 /// Pathological router that never schedules or accepts anything — the
 /// whole network is one big deadlock from step 1.
 class FrozenRouter : public Algorithm {

@@ -143,6 +143,43 @@ TEST(ParallelEngine, EmpsMatchesOnTorus) {
   }
 }
 
+TEST(ParallelEngine, FrozenJumpMatchesSequential) {
+  // A deadlocking 8×8 permutation at k = 1 through Engine::run, which jumps
+  // whole periods of the frozen network: the period search runs on the
+  // coordinator, so four bands on two threads must end exactly where one
+  // band does, having jumped the same steps.
+  const Mesh mesh = Mesh::square(8);
+  const auto run = [&](Mode mode, PhaseProfile* profile) {
+    Engine::Config config;
+    config.queue_capacity = 1;
+    config.stall_limit = 500;
+    config.shards = mode.shards;
+    config.threads = mode.threads;
+    Engine e(mesh, config, [] { return make_algorithm("dimension-order"); });
+    for (const Demand& d : random_permutation(mesh, 1))
+      e.add_packet(d.source, d.dest, d.injected_at);
+    e.set_phase_profiling(true);
+    e.prepare();
+    e.run(5000);
+    *profile = e.phase_profile();
+    Trace t;
+    t.fingerprints.push_back(e.fingerprint());
+    t.fingerprints.push_back(static_cast<std::uint64_t>(e.step()));
+    t.total_moves = e.total_moves();
+    t.delivered = e.delivered_count();
+    t.max_occupancy = e.max_occupancy_seen();
+    t.stalled = e.stalled();
+    return t;
+  };
+  PhaseProfile seq_profile, par_profile;
+  const Trace seq = run(Mode{1, 1}, &seq_profile);
+  const Trace par = run(Mode{4, 2}, &par_profile);
+  ASSERT_TRUE(seq.stalled);
+  EXPECT_GT(seq_profile.skipped_steps, 0);
+  EXPECT_EQ(seq_profile.skipped_steps, par_profile.skipped_steps);
+  expect_identical(seq, par, label_of("dimension-order", false, Mode{4, 2}));
+}
+
 TEST(ParallelEngine, ShardsClampToMeshHeight) {
   // More shards than rows must degrade gracefully to one band per row.
   const Trace seq = trace("dimension-order", 4, false, 2, 31, 30, Mode{1, 1});

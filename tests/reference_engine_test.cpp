@@ -17,6 +17,7 @@
 #include "sim/engine.hpp"
 #include "topo/mesh.hpp"
 #include "workload/patterns.hpp"
+#include "workload/permutation.hpp"
 
 namespace mr {
 namespace {
@@ -130,6 +131,139 @@ TEST(ReferenceEngine, MatchesShardedEngineOnTorus) {
 TEST(ReferenceEngine, MatchesEngineOnNonMinimalRouter) {
   const Mesh mesh = Mesh::square(5);
   expect_lockstep(mesh, "stray-2", 2, transpose(mesh));
+}
+
+// --- frozen-network jump (Engine::skip_frozen) ----------------------------
+
+/// A 4×4 random permutation at k = 1 that deadlocks under `algorithm`.
+struct DeadlockCase {
+  std::string algorithm;
+  bool torus = false;
+  std::uint64_t seed = 1;
+};
+
+const DeadlockCase kDeadlocks[] = {
+    {"dimension-order", false, 1},     {"adaptive-alternate", false, 1},
+    {"greedy-match", false, 1},        {"west-first", false, 1},
+    {"stray-2", false, 5},             {"farthest-first", false, 1},
+    {"bounded-dimension-order", true, 11}, {"emps", true, 11},
+};
+
+constexpr Step kDeadlockStallLimit = 700;
+
+/// Runs the case through Engine::run (profiled, so the jumped steps show)
+/// and ReferenceEngine::run, which executes every step, and asserts the
+/// two end in the same configuration. Returns the engine's profile.
+PhaseProfile expect_run_matches_reference(
+    const DeadlockCase& c, Step max_steps,
+    Step stall_limit = kDeadlockStallLimit, StepObserver* observer = nullptr,
+    Algorithm* algorithm = nullptr) {
+  const Mesh mesh = Mesh::square(4, c.torus);
+  const Workload w = random_permutation(mesh, c.seed);
+  Engine::Config config;
+  config.queue_capacity = 1;
+  config.stall_limit = stall_limit;
+  auto algo_opt = make_algorithm(c.algorithm);
+  auto algo_ref = make_algorithm(c.algorithm);
+  Engine opt(mesh, config, algorithm != nullptr ? *algorithm : *algo_opt);
+  ReferenceEngine ref(mesh, 1, stall_limit, *algo_ref);
+  for (const Demand& d : w) {
+    opt.add_packet(d.source, d.dest, d.injected_at);
+    ref.add_packet(d.source, d.dest, d.injected_at);
+  }
+  if (observer != nullptr) opt.add_observer(observer);
+  opt.set_phase_profiling(true);
+  opt.prepare();
+  ref.prepare();
+  EXPECT_EQ(opt.run(max_steps), ref.run(max_steps)) << c.algorithm;
+  EXPECT_EQ(opt.step(), ref.step()) << c.algorithm;
+  EXPECT_EQ(opt.stalled(), ref.stalled()) << c.algorithm;
+  EXPECT_EQ(opt.delivered_count(), ref.delivered_count()) << c.algorithm;
+  EXPECT_EQ(opt.total_moves(), ref.total_moves()) << c.algorithm;
+  EXPECT_EQ(opt.max_occupancy_seen(), ref.max_occupancy_seen())
+      << c.algorithm;
+  EXPECT_EQ(opt.fingerprint(), ref.fingerprint()) << c.algorithm;
+  const PhaseProfile profile = opt.phase_profile();
+  EXPECT_EQ(profile.steps + profile.skipped_steps, opt.step()) << c.algorithm;
+  return profile;
+}
+
+TEST(FrozenJump, RunMatchesReferenceOnEveryStationaryRouter) {
+  for (const DeadlockCase& c : kDeadlocks) {
+    ASSERT_TRUE(make_algorithm(c.algorithm)->stationary()) << c.algorithm;
+    const PhaseProfile profile = expect_run_matches_reference(c, 4096);
+    // The stall trips at kDeadlockStallLimit idle steps, long before the
+    // budget, and most of them were jumped.
+    EXPECT_GT(profile.skipped_steps, 0) << c.algorithm;
+    EXPECT_LT(profile.steps, kDeadlockStallLimit) << c.algorithm;
+  }
+}
+
+TEST(FrozenJump, RunStopsAtMaxStepsInsideAPeriod) {
+  // No stall limit: the budget alone ends the run. The rotating inqueue
+  // pointer gives dimension-order a period of 4, and 1003 steps leave a
+  // part period after the last jump, which run() must execute.
+  const DeadlockCase c{"dimension-order", false, 1};
+  const PhaseProfile profile =
+      expect_run_matches_reference(c, 1003, /*stall_limit=*/0);
+  EXPECT_GT(profile.skipped_steps, 0);
+  EXPECT_EQ(profile.skipped_steps % 4, 0);
+}
+
+TEST(FrozenJump, AttachedObserverSeesEveryStep) {
+  struct Counter : StepObserver {
+    Step steps = 0;
+    void on_step(const Sim&, const StepDigest&) override { ++steps; }
+  } counter;
+  const PhaseProfile profile =
+      expect_run_matches_reference(kDeadlocks[0], 4096,
+                                   kDeadlockStallLimit, &counter);
+  EXPECT_EQ(counter.steps, profile.steps);
+  EXPECT_EQ(profile.skipped_steps, 0);
+}
+
+TEST(FrozenJump, NonStationaryAlgorithmExecutesEveryStep) {
+  // Forwards to dimension-order but keeps the default stationary() =
+  // false: the same run, with no jump.
+  class Opaque final : public Algorithm {
+   public:
+    std::string name() const override { return inner_->name(); }
+    void init(Sim& e) override { inner_->init(e); }
+    void plan_out(Sim& e, NodeId u, OutPlan& plan) override {
+      inner_->plan_out(e, u, plan);
+    }
+    void plan_in(Sim& e, NodeId v, std::span<const Offer> offers,
+                 InPlan& plan) override {
+      inner_->plan_in(e, v, offers, plan);
+    }
+    void update_state(Sim& e, NodeId v) override { inner_->update_state(e, v); }
+
+   private:
+    std::unique_ptr<Algorithm> inner_ = make_algorithm("dimension-order");
+  } opaque;
+  ASSERT_FALSE(opaque.stationary());
+  const PhaseProfile profile = expect_run_matches_reference(
+      kDeadlocks[0], 4096, kDeadlockStallLimit, nullptr, &opaque);
+  EXPECT_EQ(profile.skipped_steps, 0);
+}
+
+TEST(FrozenJump, PendingInjectionIsNeverJumped) {
+  // An empty network awaiting a future-dated injection repeats with
+  // period 1, but the injection at step 50 must still happen.
+  const Mesh m = Mesh::square(4);
+  auto algo = make_algorithm("dimension-order");
+  Engine::Config config;
+  config.queue_capacity = 1;
+  config.stall_limit = 10;
+  Engine e(m, config, *algo);
+  e.add_packet(m.id_of(0, 0), m.id_of(3, 0), /*injected_at=*/50);
+  e.set_phase_profiling(true);
+  e.prepare();
+  e.run(1000);
+  EXPECT_TRUE(e.all_delivered());
+  EXPECT_EQ(e.packet(0).delivered_at, 52);
+  EXPECT_EQ(e.phase_profile().steps, e.step());
+  EXPECT_EQ(e.phase_profile().skipped_steps, 0);
 }
 
 // --- constructor validation (negative paths) -----------------------------

@@ -7,15 +7,19 @@
 // SnapshotError kinds, never silently.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "check/fuzz.hpp"
 #include "check/oracles.hpp"
+#include "harness/checkpoint.hpp"
+#include "harness/runner.hpp"
 #include "routing/registry.hpp"
 #include "sim/engine.hpp"
 #include "sim/snapshot.hpp"
+#include "topo/mesh.hpp"
 #include "topo/registry.hpp"
 #include "workload/permutation.hpp"
 
@@ -245,6 +249,71 @@ TEST(Snapshot, RestoreRejectsMismatchedEngine) {
       EXPECT_EQ(e.kind(), SnapshotError::Kind::Mismatch) << e.what();
     }
   }
+}
+
+TEST(Snapshot, CheckpointCadenceSurvivesTheFrozenJump) {
+  // A deadlocking run checkpointed every 7 steps, which is not a multiple
+  // of dimension-order's period of 4. The plain run jumps whole periods of
+  // the frozen network; a no-op observer forces every step to execute, so
+  // the observed run is the unjumped baseline. Both must leave their last
+  // snapshot at the same step with the same bytes, and resuming from it
+  // must reproduce the result.
+  struct NoOp : StepObserver {
+    void on_step(const Sim&, const StepDigest&) override {}
+  } noop;
+  const Mesh mesh = Mesh::square(4);
+  const Workload workload = random_permutation(mesh, 1);
+  const std::string dir = ::testing::TempDir() + "frozen_jump_ckpt";
+  std::filesystem::remove_all(dir);
+  RunSpec spec;
+  spec.width = spec.height = 4;
+  spec.queue_capacity = 1;
+  spec.algorithm = "dimension-order";
+  // Chosen so that the last checkpoint step lies inside a span that a
+  // jump ignoring the checkpoint cadence would pass over.
+  spec.stall_limit = 301;
+  spec.telemetry.profile = true;  // shows the jump; attaches no observer
+  spec.checkpoint.dir = dir;
+  spec.checkpoint.every = 7;
+  const auto run = [&](const std::string& key, const RunHooks& hooks,
+                       PhaseProfile* profile) {
+    RunSpec s = spec;
+    s.checkpoint.key = key;
+    RunResult r = run_workload(s, workload, hooks);
+    *profile = r.phase_profile.value_or(PhaseProfile{});
+    r.phase_profile.reset();  // wall-clock timings differ between runs
+    return r;
+  };
+  const auto snapshot_bytes = [&](const std::string& key) {
+    CheckpointSpec c = spec.checkpoint;
+    c.key = key;
+    std::string bytes;
+    EXPECT_TRUE(read_text_file(c.snapshot_path(), &bytes)) << key;
+    return bytes;
+  };
+
+  PhaseProfile jumped_profile, stepped_profile, resumed_profile;
+  const RunResult jumped = run("jumped", {}, &jumped_profile);
+  RunHooks observed;
+  observed.step_observers.push_back(&noop);
+  const RunResult stepped = run("stepped", observed, &stepped_profile);
+  ASSERT_TRUE(jumped.stalled);
+  EXPECT_GT(jumped_profile.skipped_steps, 0);
+  EXPECT_EQ(stepped_profile.skipped_steps, 0);
+  EXPECT_EQ(run_result_to_json(jumped), run_result_to_json(stepped));
+
+  const std::string bytes = snapshot_bytes("jumped");
+  EXPECT_EQ(bytes, snapshot_bytes("stepped"));
+  const EngineSnapshot last = parse_snapshot(bytes);
+  EXPECT_EQ(last.meta.step, jumped.steps / 7 * 7);
+
+  // Crash simulation: the done record is gone, the last snapshot remains.
+  CheckpointSpec jumped_store = spec.checkpoint;
+  jumped_store.key = "jumped";
+  std::filesystem::remove(jumped_store.done_path());
+  const RunResult resumed = run("jumped", {}, &resumed_profile);
+  EXPECT_EQ(run_result_to_json(resumed), run_result_to_json(jumped));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Snapshot, FileRoundTripAndIoError) {
